@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out."""
+"""Ablation benchmarks for the design choices ``experiments/ablation.py`` varies."""
 
 from conftest import record_table
 

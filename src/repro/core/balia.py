@@ -75,11 +75,18 @@ class BaliaController(MultipathController):
         return max(rates.values()) / max(rates[key], _EPS)
 
     def increase_increment(self, key: int) -> float:
-        state = self._subflows[key]
-        rates = self._rates()
-        total = sum(rates.values())
-        alpha = self._alpha(key, rates)
-        kelly = (rates[key] / state.rtt) / max(total * total, _EPS)
+        subflows = self._subflows
+        total = peak = 0.0          # sum_k x_k, max_k x_k
+        for s in subflows.values():
+            rate = s.cwnd / s.rtt
+            total += rate
+            if rate > peak:
+                peak = rate
+        state = subflows[key]
+        rate = state.cwnd / state.rtt
+        alpha = peak / (rate if rate > _EPS else _EPS)
+        total_sq = total * total
+        kelly = (rate / state.rtt) / (total_sq if total_sq > _EPS else _EPS)
         return kelly * ((1.0 + alpha) / 2.0) * ((4.0 + alpha) / 5.0)
 
     def decrease_on_loss(self, key: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 
-@dataclass
+@dataclass(slots=True)
 class SubflowState:
     """Mutable per-subflow state visible to a multipath controller.
 
@@ -103,8 +103,9 @@ class MultipathController:
         """Window increment for one ACKed packet on subflow ``key``."""
         raise NotImplementedError
 
-    def increase_on_ack(self, key: int, acked_packets: int = 1,
-                        acked_bytes: float | None = None) -> float:
+    def increase_on_ack(
+        self, key: int, acked_packets: int = 1, acked_bytes: float | None = None
+    ) -> float:
         """Apply the congestion-avoidance increase for newly ACKed packets.
 
         Returns the new congestion window of subflow ``key``.  The increase
@@ -113,14 +114,19 @@ class MultipathController:
         ``acked_packets * 1500``; it feeds OLIA's inter-loss counters.
         """
         state = self._subflows[key]
-        if acked_bytes is None:
-            acked_bytes = acked_packets * 1500.0
-        state.record_ack(acked_bytes)
-        for _ in range(acked_packets):
-            state.cwnd += self.increase_increment(key)
-        if state.cwnd < self.min_cwnd:
-            state.cwnd = self.min_cwnd
-        return state.cwnd
+        state.bytes_acked_since_loss += (
+            acked_packets * 1500.0 if acked_bytes is None else acked_bytes
+        )
+        if acked_packets == 1:  # the per-ACK case: no loop to set up
+            cwnd = state.cwnd + self.increase_increment(key)
+        else:
+            for _ in range(acked_packets):
+                state.cwnd += self.increase_increment(key)
+            cwnd = state.cwnd
+        if cwnd < self.min_cwnd:
+            cwnd = self.min_cwnd
+        state.cwnd = cwnd
+        return cwnd
 
     def decrease_on_loss(self, key: int) -> float:
         """Multiplicative decrease on a loss: ``w <- max(w/2, 1)``.
@@ -132,12 +138,3 @@ class MultipathController:
         state.record_loss()
         state.cwnd = max(state.cwnd / 2.0, self.min_cwnd)
         return state.cwnd
-
-    # -- helpers shared by the coupled algorithms -----------------------------
-    def _sum_w_over_rtt(self) -> float:
-        """``sum_p w_p / rtt_p`` over all registered subflows."""
-        return sum(s.cwnd / s.rtt for s in self._subflows.values())
-
-    def _max_w_over_rtt_sq(self) -> float:
-        """``max_p w_p / rtt_p**2`` over all registered subflows."""
-        return max(s.cwnd / (s.rtt * s.rtt) for s in self._subflows.values())

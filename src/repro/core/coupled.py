@@ -23,6 +23,9 @@ class CoupledController(MultipathController):
     name = "coupled"
 
     def increase_increment(self, key: int) -> float:
-        state = self._subflows[key]
-        denom = self._sum_w_over_rtt()
+        subflows = self._subflows
+        denom = 0.0
+        for s in subflows.values():
+            denom += s.cwnd / s.rtt
+        state = subflows[key]
         return (state.cwnd / (state.rtt * state.rtt)) / (denom * denom)

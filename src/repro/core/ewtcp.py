@@ -37,5 +37,8 @@ class EwtcpController(MultipathController):
         return 1.0 / (n_paths * n_paths)
 
     def increase_increment(self, key: int) -> float:
-        state = self._subflows[key]
-        return self.weight / state.cwnd
+        weight = self._weight
+        if weight is None:          # the ``weight`` property, inline
+            n_paths = len(self._subflows)
+            weight = 1.0 / (n_paths * n_paths)
+        return weight / self._subflows[key].cwnd

@@ -21,7 +21,14 @@ class LiaController(MultipathController):
     name = "lia"
 
     def increase_increment(self, key: int) -> float:
-        state = self._subflows[key]
-        denom = self._sum_w_over_rtt()
-        coupled = self._max_w_over_rtt_sq() / (denom * denom)
-        return min(coupled, 1.0 / state.cwnd)
+        subflows = self._subflows
+        denom = peak = 0.0          # sum_i w_i/rtt_i, max_i w_i/rtt_i^2
+        for s in subflows.values():
+            cwnd, rtt = s.cwnd, s.rtt
+            denom += cwnd / rtt
+            term = cwnd / (rtt * rtt)
+            if term > peak:
+                peak = term
+        coupled = peak / (denom * denom)
+        cap = 1.0 / subflows[key].cwnd
+        return cap if cap < coupled else coupled

@@ -25,6 +25,8 @@ from typing import Dict, List
 
 from .base import MultipathController
 
+_INF = float("inf")
+
 
 class OliaController(MultipathController):
     """The paper's OLIA coupled congestion avoidance (Eqs. 5-6).
@@ -96,8 +98,49 @@ class OliaController(MultipathController):
 
     # -- congestion avoidance --------------------------------------------------
     def increase_increment(self, key: int) -> float:
-        state = self._subflows[key]
-        denom = self._sum_w_over_rtt()
-        kelly_voice = (state.cwnd / (state.rtt * state.rtt)) / (denom * denom)
-        alpha = self.alphas()[key]
-        return kelly_voice + alpha / state.cwnd
+        """Eq. 5 for one ACK on ``key``.  ``alpha_key`` is the float
+        :meth:`alphas` gives (pinned by ``tests/test_prop_core.py``),
+        with M and B counted in two passes instead of built as sets.
+        """
+        subflows = self._subflows
+        # Pass 1: the denominator and the maxima behind M and B.  Maxima
+        # start at zero, which is ``_argmax_keys``' ``best <= 0`` rule.
+        denom = max_cwnd = max_score = 0.0
+        for s in subflows.values():
+            cwnd, rtt = s.cwnd, s.rtt
+            denom += cwnd / rtt
+            if cwnd > max_cwnd:
+                max_cwnd = cwnd
+            interloss = s.bytes_between_last_losses
+            if s.bytes_acked_since_loss > interloss:
+                interloss = s.bytes_acked_since_loss
+            score = interloss / (rtt * rtt)
+            if score > max_score:
+                max_score = score
+        slack = 1.0 - self.tie_tolerance
+        cwnd_bar = max_cwnd * slack if max_cwnd > 0 else -_INF
+        score_bar = max_score * slack if max_score > 0 else -_INF
+        # Pass 2: |M|, |B \ M|, and which of the two ``key`` is in.
+        state = subflows[key]
+        n_max = n_collect = side = 0
+        for s in subflows.values():
+            if s.cwnd >= cwnd_bar:
+                n_max += 1
+                if s is state:
+                    side = -1
+            else:
+                interloss = s.bytes_between_last_losses
+                if s.bytes_acked_since_loss > interloss:
+                    interloss = s.bytes_acked_since_loss
+                if interloss / (s.rtt * s.rtt) >= score_bar:
+                    n_collect += 1
+                    if s is state:
+                        side = 1
+        if n_collect == 0 or side == 0:
+            alpha = 0.0
+        elif side < 0:
+            alpha = -(1.0 / len(subflows)) / n_max
+        else:
+            alpha = (1.0 / len(subflows)) / n_collect
+        cwnd, rtt = state.cwnd, state.rtt
+        return (cwnd / (rtt * rtt)) / (denom * denom) + alpha / cwnd

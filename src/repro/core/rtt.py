@@ -46,7 +46,6 @@ class RttEstimator:
     @property
     def rto(self) -> float:
         """Current retransmission timeout, clamped to ``[min_rto, max_rto]``."""
-        if self.srtt is None:
-            return 1.0  # RFC 6298 initial RTO
-        rto = self.srtt + 4.0 * self.rttvar
+        # RFC 6298: 1 s until the first sample, clamped like any other.
+        rto = 1.0 if self.srtt is None else self.srtt + 4.0 * self.rttvar
         return min(max(rto, self.min_rto), self.max_rto)

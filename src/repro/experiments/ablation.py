@@ -1,4 +1,5 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices that can be varied (the fixed
+modelling choice, "ACKs are notifications", is in docs/ARCHITECTURE.md).
 
 1. **epsilon-family trade-off** (Section II): the fixed points of
    ``x_r ~ p_r**(-1/eps)`` on the scenario C network show how congestion

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
-from ..units import MSS_BYTES, bytes_to_packets
+from ..units import bytes_to_packets
 from .engine import Simulator
 from .mptcp import MptcpConnection, PathSpec
 from .packet import Packet
@@ -188,8 +188,7 @@ class BackgroundTraffic:
     def _emit(self) -> None:
         if not self._running:
             return
-        packet = Packet(self, self._seq, self.path, MSS_BYTES,
-                        sent_time=self.sim.now)
+        packet = Packet(self, self._seq, self.path)
         self._seq += 1
         self.packets_sent += 1
         self.path[0].receive(packet)

@@ -37,9 +37,9 @@ Two hot-path optimisations keep the event loop allocation-light:
   allocations beyond the entry tuple itself.
 
 For repeating deadlines, :meth:`Simulator.timer` returns a rearmable
-:class:`Timer`: re-arming one to a later deadline is a pair of
-attribute writes — no scheduler traffic at all — which is what removes
-the schedule-then-lazy-cancel churn of RTO-style timers.
+:class:`Timer`: re-arming one whose wakeup is still pending is a single
+write to its ``deadline`` slot — no scheduler traffic at all — which is
+what removes the schedule-then-lazy-cancel churn of RTO-style timers.
 
 When the optional C extension (``repro.sim._kernels``, built with
 ``python setup.py build_ext --inplace``) is importable, the Simulator
@@ -115,6 +115,15 @@ class Event:
         self.cancelled = True
 
 
+class _Clock:
+    """The pure-python engine's clock: ``now``, written by the run loops."""
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+
 class Timer:
     """A rearmable deadline callback bound to one :class:`Simulator`.
 
@@ -127,7 +136,7 @@ class Timer:
 
     * extending the deadline (``arm``/``arm_at`` past the pending
       wakeup — the RTO pattern, where every ACK pushes the deadline
-      out) is two attribute writes and costs the scheduler nothing;
+      out) is one attribute write and costs the scheduler nothing;
     * when the wakeup fires early (the deadline moved), the timer
       silently re-inserts itself at the live deadline;
     * ``cancel`` clears the deadline and lets any pending wakeup pop as
@@ -142,58 +151,63 @@ class Timer:
 
     After firing, the timer is disarmed and may be re-armed — including
     from inside its own callback (periodic pacing/spawn loops).
+
+    Two slots are part of the interface, for holders that re-arm once
+    per packet: ``deadline`` (the live deadline, ``None`` when
+    disarmed) and ``wakeup`` (the pending scheduler event, ``None``
+    when there is none).  While ``wakeup`` is not ``None``,
+    ``timer.deadline = t`` *is* ``timer.arm_at(t)`` minus the call and
+    the past-deadline check — the holder must know ``t >= now`` (the
+    RTO re-arm writes ``now + rto`` with ``rto >= min_rto > 0``).  With
+    no wakeup pending, call :meth:`arm_at`.
     """
 
-    __slots__ = ("_sim", "fn", "args", "_deadline", "_wakeup")
+    __slots__ = ("_sim", "_clock", "fn", "args", "deadline", "wakeup")
 
     def __init__(self, sim: "Simulator", fn: Callable, args: tuple) -> None:
         self._sim = sim
+        self._clock = sim.clock
         self.fn = fn
         self.args = args
-        self._deadline: Optional[float] = None
-        self._wakeup: Optional[Event] = None
+        self.deadline: Optional[float] = None
+        self.wakeup: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
         """True while a deadline is set (callback will eventually run)."""
-        return self._deadline is not None
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """The live deadline, or None when disarmed."""
-        return self._deadline
+        return self.deadline is not None
 
     def arm(self, delay: float) -> None:
         """(Re-)arm to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot arm a timer in the past ({delay})")
-        self.arm_at(self._sim.now + delay)
+        self.arm_at(self._clock.now + delay)
 
     def arm_at(self, time: float) -> None:
         """(Re-)arm to fire at absolute ``time``."""
-        sim = self._sim
-        if time < sim.now:
+        now = self._clock.now
+        if time < now:
             raise ValueError(
-                f"cannot arm a timer at {time} before now ({sim.now})")
-        self._deadline = time
-        if self._wakeup is None:
-            self._wakeup = sim.schedule_at(time, self._on_wakeup)
+                f"cannot arm a timer at {time} before now ({now})")
+        self.deadline = time
+        if self.wakeup is None:
+            self.wakeup = self._sim.schedule_at(time, self._on_wakeup)
 
     def cancel(self) -> None:
         """Disarm; a pending wakeup (if any) pops as a no-op."""
-        self._deadline = None
+        self.deadline = None
 
     def _on_wakeup(self) -> None:
-        self._wakeup = None
-        deadline = self._deadline
+        self.wakeup = None
+        deadline = self.deadline
         if deadline is None:
             return
-        if self._sim.now < deadline - 1e-12:
+        if self._clock.now < deadline - 1e-12:
             # The deadline moved forward since this wakeup was
             # scheduled; chase it.
-            self._wakeup = self._sim.schedule_at(deadline, self._on_wakeup)
+            self.wakeup = self._sim.schedule_at(deadline, self._on_wakeup)
             return
-        self._deadline = None
+        self.deadline = None
         self.fn(*self.args)
 
 
@@ -227,6 +241,12 @@ def _make_scheduler(name: str, wheel_tick: float):
 
 class Simulator:
     """Event loop with a virtual clock (seconds).
+
+    ``clock`` is the object whose ``now`` attribute is the current
+    time: the compiled core when one drives the run, a one-slot object
+    otherwise.  ``sim.now`` reads it; per-packet components keep
+    ``sim.clock`` and read ``clock.now`` themselves, one lookup and no
+    property call.
 
     Parameters
     ----------
@@ -291,7 +311,8 @@ class Simulator:
             # The core *is* the scheduler (it stores entries as C
             # structs); exposing it as _sched keeps the introspection
             # surface (len, .migrations) identical to the pure engine.
-            self._sched = core
+            # It is also the clock: ``core.now`` is its C getter.
+            self._sched = self.clock = core
             # Rebind the hot API to the core's C methods: attribute
             # lookup finds the instance binding first, so callers pay
             # zero wrapper overhead per event.
@@ -302,7 +323,7 @@ class Simulator:
             return
         self._sched = _make_scheduler(name, wheel_tick)
         self._free: List[Event] = []
-        self._now = 0.0
+        self.clock = _Clock()
         self._counter = 0
         self._processed = 0
 
@@ -313,11 +334,8 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        """Current simulation time in seconds."""
-        core = self._core
-        if core is not None:
-            return core.now
-        return self._now
+        """Current simulation time in seconds (``self.clock.now``)."""
+        return self.clock.now
 
     @property
     def events_processed(self) -> int:
@@ -366,7 +384,7 @@ class Simulator:
         # Inlined schedule_at: this is the hottest API in the simulator,
         # and a second Python call per event costs a measurable slice of
         # the event loop.
-        time = self._now + delay
+        time = self.clock.now + delay
         free = self._free
         if free:
             event = free.pop()
@@ -382,9 +400,10 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute ``time``; returns the event."""
-        if time < self._now:
+        now = self.clock.now
+        if time < now:
             raise ValueError(
-                f"cannot schedule at {time} before now ({self._now})")
+                f"cannot schedule at {time} before now ({now})")
         free = self._free
         if free:
             event = free.pop()
@@ -417,6 +436,7 @@ class Simulator:
             self._run_adaptive(sched, until)
             return
         pop = sched.pop_due
+        clock = self.clock
         free = self._free
         trace = self._trace
         while True:
@@ -429,7 +449,7 @@ class Simulator:
                 event.args = ()
                 free.append(event)
                 continue
-            self._now = entry[0]
+            clock.now = entry[0]
             self._processed += 1
             if trace is not None:
                 trace(entry[0], entry[2], entry[3])
@@ -437,7 +457,7 @@ class Simulator:
             event.fn = None
             event.args = ()
             free.append(event)
-        self._now = until
+        clock.now = until
 
     def _run_adaptive(self, sched: AdaptiveScheduler, until: float) -> None:
         """The chunked variant of :meth:`run` for the auto backend.
@@ -449,6 +469,7 @@ class Simulator:
         countdown) — so steady state runs at the active backend's
         native speed.
         """
+        clock = self.clock
         free = self._free
         trace = self._trace
         period = sched.period
@@ -458,7 +479,7 @@ class Simulator:
             for _ in repeat(None, period):
                 entry = pop(until)
                 if entry is None:
-                    self._now = until
+                    clock.now = until
                     return
                 event = entry[4]
                 if event.cancelled:
@@ -466,7 +487,7 @@ class Simulator:
                     event.args = ()
                     free.append(event)
                     continue
-                self._now = entry[0]
+                clock.now = entry[0]
                 self._processed += 1
                 if trace is not None:
                     trace(entry[0], entry[2], entry[3])
@@ -483,6 +504,7 @@ class Simulator:
                 return
         else:
             pop = sched.pop_next
+            clock = self.clock
             free = self._free
             trace = self._trace
             budget = max_events
@@ -496,7 +518,7 @@ class Simulator:
                     event.args = ()
                     free.append(event)
                     continue
-                self._now = entry[0]
+                clock.now = entry[0]
                 self._processed += 1
                 budget -= 1
                 if trace is not None:
@@ -512,6 +534,7 @@ class Simulator:
     def _run_until_empty_adaptive(self, sched: AdaptiveScheduler,
                                   max_events: int) -> bool:
         """Chunked :meth:`run_until_empty`; True when fully drained."""
+        clock = self.clock
         free = self._free
         trace = self._trace
         budget = max_events
@@ -529,7 +552,7 @@ class Simulator:
                     event.args = ()
                     free.append(event)
                     continue
-                self._now = entry[0]
+                clock.now = entry[0]
                 self._processed += 1
                 if trace is not None:
                     trace(entry[0], entry[2], entry[3])

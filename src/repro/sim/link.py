@@ -75,14 +75,23 @@ class Link:
     ``loss_rate=0.0`` no random numbers are ever drawn.
     """
 
-    __slots__ = ("sim", "rate_bps", "delay", "queue", "stats", "name",
-                 "loss_rate", "loss_rng", "_busy", "_pipe", "_pipe_idle")
+    # fmt: off
+    __slots__ = ("sim", "clock", "rate_bps", "delay", "queue", "stats",
+                 "name", "loss_rate", "loss_rng", "_busy", "_pipe",
+                 "_pipe_idle", "_schedule", "_schedule_at")
+    # fmt: on
 
-    def __init__(self, sim: Simulator, rate_bps: float, delay: float,
-                 queue: Optional[DropTailQueue] = None,
-                 name: str = "link", *,
-                 loss_rate: float = 0.0,
-                 loss_rng=None) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        rate_bps: float,
+        delay: float,
+        queue: Optional[DropTailQueue] = None,
+        name: str = "link",
+        *,
+        loss_rate: float = 0.0,
+        loss_rng=None,
+    ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         if delay < 0:
@@ -90,9 +99,15 @@ class Link:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if loss_rate > 0.0 and loss_rng is None:
-            raise ValueError("loss_rate needs a loss_rng for "
-                             "reproducible channel drops")
+            raise ValueError(
+                "loss_rate needs a loss_rng for reproducible channel drops"
+            )
         self.sim = sim
+        self.clock = sim.clock
+        # The two engine entry points, bound once: every packet on this
+        # link costs a schedule (service) and often a schedule_at (wire).
+        self._schedule = sim.schedule
+        self._schedule_at = sim.schedule_at
         self.rate_bps = rate_bps
         self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue()
@@ -109,35 +124,32 @@ class Link:
 
     def receive(self, packet: Packet) -> None:
         """Packet arrives at this link's ingress."""
-        self.stats.arrivals += 1
-        if (self.loss_rate > 0.0
-                and self.loss_rng.random() < self.loss_rate):
+        stats = self.stats
+        stats.arrivals += 1
+        if self.loss_rate > 0.0 and self.loss_rng.random() < self.loss_rate:
             # Channel loss (wireless): dropped on arrival, before the
             # queue — indistinguishable from a queue drop to the
             # transport, as non-congestion losses are to real TCP.
-            self.stats.drops += 1
+            stats.drops += 1
+            return
+        queue = self.queue
+        if not queue.try_enqueue(packet):
+            stats.drops += 1
             return
         if self._busy:
-            if not self.queue.try_enqueue(packet):
-                self.stats.drops += 1
             return
-        # Transmitter idle: RED still sees the (empty) queue arrival.
-        if not self.queue.try_enqueue(packet):
-            self.stats.drops += 1
-            return
-        next_packet = self.queue.dequeue()
-        if next_packet is not None:
-            self._start_transmission(next_packet)
-
-    def _start_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        service_time = packet.size_bytes * 8.0 / self.rate_bps
-        self.sim.schedule(service_time, self._transmission_done, packet)
+        # Transmitter idle: the packet still went through the (empty)
+        # queue so RED sees the arrival; serve the head right away.
+        packet = queue.dequeue()
+        if packet is not None:
+            self._busy = True
+            self._schedule(
+                packet.size_bytes * 8.0 / self.rate_bps, self._transmission_done, packet
+            )
 
     def _transmission_done(self, packet: Packet) -> None:
         self.stats.bytes_sent += packet.size_bytes
-        now = self.sim.now
-        deliver_at = now + self.delay
+        deliver_at = self.clock.now + self.delay
         pipe = self._pipe
         if pipe and pipe[-1][0] > deliver_at:
             # The delay shrank mid-run (wireless rate/handover change):
@@ -148,12 +160,14 @@ class Link:
         if self._pipe_idle:
             # First packet on an idle wire: start the delivery loop.
             self._pipe_idle = False
-            self.sim.schedule_at(deliver_at, self._deliver)
+            self._schedule_at(deliver_at, self._deliver)
         # Drain the queue: keep the service loop going with the next
         # packet (one pending service event per busy link).
-        next_packet = self.queue.dequeue()
-        if next_packet is not None:
-            self._start_transmission(next_packet)
+        packet = self.queue.dequeue()
+        if packet is not None:
+            self._schedule(
+                packet.size_bytes * 8.0 / self.rate_bps, self._transmission_done, packet
+            )
         else:
             self._busy = False
 
@@ -165,19 +179,22 @@ class Link:
         the due packets, the loop re-arms itself for the new pipe head.
         """
         pipe = self._pipe
-        now = self.sim.now
+        now = self.clock.now
         while pipe and pipe[0][0] <= now:
             packet = pipe.popleft()[1]
-            packet.hop += 1
-            if packet.hop < len(packet.path):
-                packet.path[packet.hop].receive(packet)
+            packet.hop = hop = packet.hop + 1
+            path = packet.path
+            if hop < len(path):
+                path[hop].receive(packet)
             else:
                 packet.endpoint.on_data(packet)
         if pipe:
-            self.sim.schedule_at(pipe[0][0], self._deliver)
+            self._schedule_at(pipe[0][0], self._deliver)
         else:
             self._pipe_idle = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Link({self.name}, {self.rate_bps / 1e6:.1f} Mbps, "
-                f"{self.delay * 1e3:.1f} ms)")
+        return (
+            f"Link({self.name}, {self.rate_bps / 1e6:.1f} Mbps, "
+            f"{self.delay * 1e3:.1f} ms)"
+        )

@@ -66,7 +66,7 @@ class _SchedulerGate:
     toward the union.
     """
 
-    __slots__ = ("sim", "connection", "policy", "size", "on_complete",
+    __slots__ = ("clock", "connection", "policy", "size", "on_complete",
                  "duplicates", "completed", "start_time", "elapsed",
                  "granted", "assigned", "delivered",
                  "union_nxt", "_union_ooo", "_kicking")
@@ -74,7 +74,7 @@ class _SchedulerGate:
     def __init__(self, sim: Simulator, connection: "MptcpConnection",
                  policy: PacketScheduler, size: int,
                  on_complete: Optional[Callable[[float], None]]) -> None:
-        self.sim = sim
+        self.clock = sim.clock
         self.connection = connection
         self.policy = policy
         self.size = size
@@ -103,7 +103,7 @@ class _SchedulerGate:
     def note_start(self) -> None:
         """First subflow came up: the transfer clock starts now."""
         if self.start_time is None:
-            self.start_time = self.sim.now
+            self.start_time = self.clock.now
 
     def has_data(self, sf: TcpSubflow) -> bool:
         """Does ``sf`` have a packet to send?  May grant one.
@@ -208,7 +208,7 @@ class _SchedulerGate:
     def _finish(self) -> None:
         self.completed = True
         start = self.start_time if self.start_time is not None else 0.0
-        self.elapsed = self.sim.now - start
+        self.elapsed = self.clock.now - start
         for sf in list(self.connection.subflows):
             sf.stop()
         if self.on_complete is not None:

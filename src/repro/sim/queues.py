@@ -20,6 +20,8 @@ from .packet import Packet
 class DropTailQueue:
     """FIFO queue with a hard limit in packets."""
 
+    __slots__ = ("limit", "_items")
+
     def __init__(self, limit: int = 100) -> None:
         if limit < 1:
             raise ValueError("queue limit must be at least 1 packet")
@@ -55,6 +57,8 @@ class REDQueue(DropTailQueue):
     * ``max_th``..``2 max_th``: linear ``p_max`` -> 1 (gentle mode);
     * above ``2 max_th`` or at the hard ``limit``: always drop.
     """
+
+    __slots__ = ("rng", "min_th", "max_th", "p_max", "ewma_weight", "avg")
 
     def __init__(self, rng: random.Random, min_th: float = 25.0,
                  max_th: float = 50.0, p_max: float = 0.1,

@@ -2,7 +2,8 @@
 
 A :class:`TcpSubflow` is both the sender and the receiver endpoint of one
 path (the reverse direction carries only ACK notifications after a fixed
-``reverse_delay``; see DESIGN.md).  The congestion-avoidance *increase* is
+``reverse_delay``; see "ACKs are notifications" in
+docs/ARCHITECTURE.md).  The congestion-avoidance *increase* is
 delegated to a :class:`~repro.core.base.MultipathController`, so the same
 transport code runs regular TCP (Reno controller), LIA, OLIA, and the
 baselines.  Loss behaviour is common to all algorithms in the paper:
@@ -19,6 +20,9 @@ Implemented mechanisms:
   (no RTT samples from retransmitted segments);
 * Jacobson/Karels smoothed RTT driving both the RTO and the coupled
   controllers' RTT compensation.
+
+``on_ack``, ``_try_send`` and ``on_data`` run once per packet and follow
+the rules of "The per-packet path" in docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -38,15 +42,34 @@ _INITIAL_SSTHRESH = 1e9
 class TcpSubflow:
     """One TCP connection / MPTCP subflow over an explicit path."""
 
-    def __init__(self, sim: Simulator, path: tuple, reverse_delay: float,
-                 controller: MultipathController, key: int, *,
-                 size_packets: Optional[int] = None,
-                 initial_cwnd: float = 2.0,
-                 min_ssthresh: float = 2.0,
-                 rcv_wnd_packets: Optional[int] = None,
-                 on_complete: Optional[Callable[[float], None]] = None,
-                 gate=None,
-                 name: str = "flow") -> None:
+    # fmt: off
+    __slots__ = (
+        "sim", "clock", "path", "reverse_delay", "controller", "key",
+        "size_packets", "min_ssthresh", "rcv_wnd_packets", "on_complete",
+        "gate", "name", "state", "rtt_estimator",
+        "snd_una", "snd_nxt", "ssthresh", "dupacks", "in_recovery",
+        "recover", "_rtx_high", "backoff", "_rto", "started", "completed",
+        "start_time", "_timed_seq", "_timed_at", "_rto_timer",
+        "rcv_nxt", "_out_of_order",
+        "acked_packets", "retransmits", "timeouts")
+    # fmt: on
+
+    def __init__(
+        self,
+        sim: Simulator,
+        path: tuple,
+        reverse_delay: float,
+        controller: MultipathController,
+        key: int,
+        *,
+        size_packets: Optional[int] = None,
+        initial_cwnd: float = 2.0,
+        min_ssthresh: float = 2.0,
+        rcv_wnd_packets: Optional[int] = None,
+        on_complete: Optional[Callable[[float], None]] = None,
+        gate=None,
+        name: str = "flow",
+    ) -> None:
         if not path:
             raise ValueError("path must contain at least one link")
         if reverse_delay < 0:
@@ -54,6 +77,7 @@ class TcpSubflow:
         if rcv_wnd_packets is not None and rcv_wnd_packets < 1:
             raise ValueError("receive window must be at least 1 packet")
         self.sim = sim
+        self.clock = sim.clock
         self.path = tuple(path)
         self.reverse_delay = reverse_delay
         self.controller = controller
@@ -63,14 +87,13 @@ class TcpSubflow:
         self.rcv_wnd_packets = rcv_wnd_packets
         self.on_complete = on_complete
         # Optional scheduler gate (finite MPTCP transfers): the gate
-        # answers _has_data via the grant-on-ask contract and tracks
-        # connection-level completion across subflows.
+        # says whether there is data via the grant-on-ask contract and
+        # tracks connection-level completion across subflows.
         self.gate = gate
         self.name = name
 
         base_rtt = sum(link.delay for link in self.path) + reverse_delay
-        self.state = SubflowState(cwnd=initial_cwnd,
-                                  rtt=max(base_rtt, 1e-6))
+        self.state = SubflowState(cwnd=initial_cwnd, rtt=max(base_rtt, 1e-6))
         controller.register_subflow(key, self.state)
         self.rtt_estimator = RttEstimator()
 
@@ -83,6 +106,9 @@ class TcpSubflow:
         self.recover = -1
         self._rtx_high = -1
         self.backoff = 1
+        # ``rtt_estimator.rto * backoff``, recomputed only where a
+        # sample is folded in, backoff resets, or a timeout doubles it.
+        self._rto = self.rtt_estimator.rto
         self.started = False
         self.completed = False
         self.start_time = 0.0
@@ -94,9 +120,9 @@ class TcpSubflow:
         self._timed_at = 0.0
         # Retransmission timer: one rearmable engine Timer for the whole
         # connection.  Every transmission/ACK pushes its deadline out
-        # (two attribute writes, no scheduler traffic); only genuine
-        # expiry reaches _on_rto.
-        self._rto_timer = sim.timer(self._on_rto)
+        # (one write to the timer's ``deadline`` slot, no scheduler
+        # traffic); only genuine expiry reaches _on_timeout.
+        self._rto_timer = sim.timer(self._on_timeout)
 
         # Receiver state.
         self.rcv_nxt = 0
@@ -110,12 +136,12 @@ class TcpSubflow:
     # -- lifecycle -------------------------------------------------------------
     def start(self, at: float | None = None) -> None:
         """Begin transmitting at time ``at`` (defaults to now)."""
-        when = self.sim.now if at is None else at
+        when = self.clock.now if at is None else at
         self.sim.schedule_at(when, self._begin)
 
     def _begin(self) -> None:
         self.started = True
-        self.start_time = self.sim.now
+        self.start_time = self.clock.now
         if self.gate is not None:
             self.gate.note_start()
         self._try_send()
@@ -135,50 +161,80 @@ class TcpSubflow:
         return self.snd_nxt - self.snd_una
 
     # -- sending ---------------------------------------------------------------
-    def _has_data(self) -> bool:
-        if self.gate is not None:
-            # Scheduler-gated finite transfer: the gate decides (and may
-            # grant this subflow a packet, or poke a preferred sibling).
-            return self.gate.has_data(self)
-        if self.size_packets is None:
-            return True
-        return self.snd_nxt < self.size_packets
+    def _try_send(self) -> bool:
+        """Send every new packet the window allows.
 
-    def _try_send(self) -> None:
+        True when at least one went out, in which case the RTO timer
+        was re-armed: after the *first* packet of the burst, because
+        when no wakeup is pending the arm schedules one, and its
+        position among the first hop's events is part of the trace.
+        """
+        if self.completed:
+            return False
         window = int(self.state.cwnd)
-        if self.rcv_wnd_packets is not None:
+        rcv_wnd = self.rcv_wnd_packets
+        if rcv_wnd is not None and rcv_wnd < window:
             # Flow control: never exceed the receiver's advertised window.
-            window = min(window, self.rcv_wnd_packets)
-        while (not self.completed and self._has_data()
-               and self.in_flight < window):
-            self._transmit(self.snd_nxt, retransmitted=False)
-            self.snd_nxt += 1
-
-    def _transmit(self, seq: int, retransmitted: bool) -> None:
-        if retransmitted:
-            # Conservative Karn: a retransmission makes any in-progress
-            # RTT measurement ambiguous, so drop it.
-            self._timed_seq = None
-            self.retransmits += 1
-        elif self._timed_seq is None:
+            window = rcv_wnd
+        seq = self.snd_nxt
+        limit = self.snd_una + window
+        gate = self.gate
+        if gate is None:
+            size = self.size_packets
+            if size is not None and size < limit:
+                limit = size
+        elif not gate.has_data(self):
+            # Scheduler-gated finite transfer: the gate decides packet by
+            # packet (it may grant one, or poke a preferred sibling), and
+            # is asked before the window is looked at, full or not.
+            return False
+        if seq >= limit:
+            return False
+        now = self.clock.now
+        if self._timed_seq is None:
             self._timed_seq = seq
-            self._timed_at = self.sim.now
-        packet = Packet(self, seq, self.path, MSS_BYTES,
-                        sent_time=self.sim.now,
-                        retransmitted=retransmitted)
-        self.path[0].receive(packet)
-        self._arm_timer()
+            self._timed_at = now
+        path = self.path
+        receive = path[0].receive
+        receive(Packet(self, seq, path))
+        timer = self._rto_timer
+        if timer.wakeup is None:
+            timer.arm_at(now + self._rto)
+        else:
+            timer.deadline = now + self._rto
+        seq += 1
+        self.snd_nxt = seq  # the gate reads it
+        while (
+            seq < limit
+            if gate is None
+            else not self.completed and gate.has_data(self) and seq < limit
+        ):
+            receive(Packet(self, seq, path))
+            seq += 1
+            self.snd_nxt = seq
+        return True
+
+    def _retransmit(self, seq: int) -> None:
+        # Conservative Karn: a retransmission makes any in-progress RTT
+        # measurement ambiguous, so drop it.
+        self._timed_seq = None
+        self.retransmits += 1
+        self.path[0].receive(Packet(self, seq, self.path))
+        self._rto_timer.arm_at(self.clock.now + self._rto)
 
     # -- receiver --------------------------------------------------------------
     def on_data(self, packet: Packet) -> None:
         """A data packet reached the end of the forward path."""
         seq = packet.seq
-        if seq == self.rcv_nxt:
-            self.rcv_nxt += 1
-            while self.rcv_nxt in self._out_of_order:
-                self._out_of_order.discard(self.rcv_nxt)
-                self.rcv_nxt += 1
-        elif seq > self.rcv_nxt:
+        rcv_nxt = self.rcv_nxt
+        if seq == rcv_nxt:
+            rcv_nxt += 1
+            out_of_order = self._out_of_order
+            while rcv_nxt in out_of_order:
+                out_of_order.discard(rcv_nxt)
+                rcv_nxt += 1
+            self.rcv_nxt = rcv_nxt
+        elif seq > rcv_nxt:
             self._out_of_order.add(seq)
         if self.gate is not None:
             # Redundant scheduling completes at the receiver: any copy
@@ -187,26 +243,32 @@ class TcpSubflow:
             if self.completed:
                 return  # union covered the stream; no more ACKs needed
         # ACK (cumulative) returns over the uncongested reverse direction.
-        self.sim.schedule(self.reverse_delay, self.on_ack, self.rcv_nxt)
+        self.sim.schedule(self.reverse_delay, self.on_ack, rcv_nxt)
 
     # -- ACK processing ----------------------------------------------------------
     def on_ack(self, ack: int) -> None:
         if self.completed or not self.started:
             return
-        if ack > self.snd_una:
-            self._on_new_ack(ack)
-        elif ack == self.snd_una and self.in_flight > 0:
-            self._on_dupack()
-
-    def _on_new_ack(self, ack: int) -> None:
-        newly = ack - self.snd_una
-        if self._timed_seq is not None and ack > self._timed_seq:
-            self.state.rtt = self.rtt_estimator.update(
-                self.sim.now - self._timed_at)
+        snd_una = self.snd_una
+        if ack <= snd_una:
+            if ack == snd_una and self.snd_nxt > snd_una:
+                self._on_dupack()
+            return
+        now = self.clock.now
+        newly = ack - snd_una
+        state = self.state
+        timed_seq = self._timed_seq
+        if timed_seq is not None and ack > timed_seq:
+            estimator = self.rtt_estimator
+            state.rtt = estimator.update(now - self._timed_at)
             self._timed_seq = None
+            self.backoff = 1
+            self._rto = estimator.rto
+        elif self.backoff != 1:
+            self.backoff = 1
+            self._rto = self.rtt_estimator.rto
         self.snd_una = ack
         self.dupacks = 0
-        self.backoff = 1
         self.acked_packets += newly
 
         if self.in_recovery:
@@ -221,27 +283,38 @@ class TcpSubflow:
                 # one-hole-per-RTT crawl.
                 self._retransmit_holes()
         if not self.in_recovery:
-            if self.state.cwnd < self.ssthresh:
+            cwnd = state.cwnd
+            ssthresh = self.ssthresh
+            if cwnd < ssthresh:
                 # Slow start grows one MSS per ACKed packet; the
                 # inter-loss counters still see the ACKed bytes.
-                self.state.record_ack(newly * MSS_BYTES)
-                self.state.cwnd = min(self.state.cwnd + newly,
-                                      max(self.ssthresh, 1.0))
+                state.bytes_acked_since_loss += newly * MSS_BYTES
+                cwnd += newly
+                if ssthresh < 1.0:
+                    ssthresh = 1.0
+                state.cwnd = cwnd if cwnd < ssthresh else ssthresh
             else:
-                self.controller.increase_on_ack(self.key,
-                                                acked_packets=newly)
+                self.controller.increase_on_ack(self.key, newly)
 
-        if self.gate is not None and self.gate.on_ack(self, newly):
+        gate = self.gate
+        if gate is not None and gate.on_ack(self, newly):
             return  # this ACK completed the whole multipath transfer
-        if self.size_packets is not None and ack >= self.size_packets:
+        size = self.size_packets
+        if size is not None and ack >= size:
             self._complete()
             return
-        self._arm_timer()
-        self._try_send()
-        if self.gate is not None:
+        if not self._try_send():
+            # No burst re-armed the RTO, so restart it from this ACK.  A
+            # wakeup is pending (something was in flight): a bare write.
+            timer = self._rto_timer
+            if timer.wakeup is None:
+                timer.arm_at(now + self._rto)
+            else:
+                timer.deadline = now + self._rto
+        if gate is not None:
             # Freed window/updated RTT may change the policy's choice:
             # let idle siblings ask again.
-            self.gate.kick()
+            gate.kick()
 
     #: Retransmissions allowed per arriving partial ACK.  Two per ACK
     #: grows the repair rate exponentially (like slow start) while
@@ -261,7 +334,7 @@ class TcpSubflow:
         seq = max(self.snd_una, self._rtx_high + 1)
         while seq <= self.recover and sent < self.RTX_PER_ACK:
             if seq not in self._out_of_order:
-                self._transmit(seq, retransmitted=True)
+                self._retransmit(seq)
                 sent += 1
             self._rtx_high = seq
             seq += 1
@@ -276,25 +349,17 @@ class TcpSubflow:
             # inter-loss counters used by OLIA).
             self.controller.decrease_on_loss(self.key)
             self.ssthresh = max(self.state.cwnd, self.min_ssthresh)
-            self._transmit(self.snd_una, retransmitted=True)
+            self._retransmit(self.snd_una)
 
     # -- retransmission timer ------------------------------------------------------
-    def _rto(self) -> float:
-        return self.rtt_estimator.rto * self.backoff
-
-    def _arm_timer(self) -> None:
-        self._rto_timer.arm_at(self.sim.now + self._rto())
-
-    def _on_rto(self) -> None:
+    def _on_timeout(self) -> None:
         # The Timer already filtered deadline-moved wakeups; only a
         # genuinely expired RTO lands here.
-        if self.completed or self.in_flight == 0:
+        if self.completed or self.snd_nxt == self.snd_una:
             return
-        self._on_timeout()
-
-    def _on_timeout(self) -> None:
         self.timeouts += 1
         self.backoff = min(self.backoff * 2, 64)
+        self._rto = self.rtt_estimator.rto * self.backoff
         self.ssthresh = max(self.state.cwnd / 2.0, self.min_ssthresh)
         self.state.record_loss()
         self.state.cwnd = 1.0
@@ -307,7 +372,7 @@ class TcpSubflow:
         self.in_recovery = True
         self.recover = self.snd_nxt - 1
         self._rtx_high = self.snd_una
-        self._transmit(self.snd_una, retransmitted=True)
+        self._retransmit(self.snd_una)
 
     def stop(self) -> None:
         """Cease transmitting and detach from the controller.
@@ -324,15 +389,27 @@ class TcpSubflow:
     def _complete(self) -> None:
         self.stop()
         if self.on_complete is not None:
-            self.on_complete(self.sim.now - self.start_time)
+            self.on_complete(self.clock.now - self.start_time)
 
 
-def single_path_tcp(sim: Simulator, path: tuple, reverse_delay: float, *,
-                    size_packets: Optional[int] = None,
-                    on_complete: Optional[Callable[[float], None]] = None,
-                    name: str = "tcp") -> TcpSubflow:
+def single_path_tcp(
+    sim: Simulator,
+    path: tuple,
+    reverse_delay: float,
+    *,
+    size_packets: Optional[int] = None,
+    on_complete: Optional[Callable[[float], None]] = None,
+    name: str = "tcp",
+) -> TcpSubflow:
     """A regular TCP connection (fresh Reno controller, one path)."""
     controller = RenoController()
-    return TcpSubflow(sim, path, reverse_delay, controller, key=0,
-                      size_packets=size_packets, on_complete=on_complete,
-                      name=name)
+    return TcpSubflow(
+        sim,
+        path,
+        reverse_delay,
+        controller,
+        key=0,
+        size_packets=size_packets,
+        on_complete=on_complete,
+        name=name,
+    )

@@ -117,7 +117,7 @@ class TimeVaryingLink:
     def start(self, at: Optional[float] = None) -> None:
         """Arm the fading/handover clocks from time ``at`` (default now)."""
         self._running = True
-        base = self.sim.now if at is None else at
+        base = self.sim.clock.now if at is None else at
         d = self.dynamics
         if d.rate_sigma > 0 or d.delay_jitter > 0:
             self._step_timer.arm_at(base + self._gap(d.change_interval))

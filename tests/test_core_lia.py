@@ -41,7 +41,7 @@ class TestLiaIncrement:
         # path 1 (huge RTT) adds almost nothing to the denominator, making
         # the coupled term approach 1/w_0 = 1 > 1/w_1.
         ctrl = make_lia([1.0, 2.0], [0.001, 10.0])
-        coupled = ctrl._max_w_over_rtt_sq() / ctrl._sum_w_over_rtt() ** 2
+        coupled = (1.0 / 0.001**2) / (1.0 / 0.001 + 2.0 / 10.0) ** 2
         assert coupled > 1.0 / 2.0
         assert ctrl.increase_increment(1) == pytest.approx(1.0 / 2.0)
 

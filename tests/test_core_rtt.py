@@ -41,6 +41,12 @@ class TestRttEstimator:
     def test_initial_rto_without_samples(self):
         assert RttEstimator().rto == pytest.approx(1.0)
 
+    def test_initial_rto_is_clamped_like_any_other(self):
+        """Before the first sample the RFC 6298 1 s still obeys the
+        estimator's own bounds."""
+        assert RttEstimator(min_rto=0.05, max_rto=0.5).rto == 0.5
+        assert RttEstimator(min_rto=2.0, max_rto=60.0).rto == 2.0
+
     def test_rejects_nonpositive_samples(self):
         est = RttEstimator()
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) for the congestion controllers."""
 
+import functools
+import operator
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core import (
+    BaliaController,
     CoupledController,
     EwtcpController,
     LiaController,
@@ -89,7 +93,9 @@ class TestLiaProperties:
         """The coupled term is the same for all subflows (when uncapped),
         bounded by the best single-path increase."""
         ctrl = build(LiaController(), params)
-        coupled = ctrl._max_w_over_rtt_sq() / ctrl._sum_w_over_rtt() ** 2
+        states = ctrl.states()
+        coupled = (max(s.cwnd / s.rtt**2 for s in states)
+                   / sum(s.cwnd / s.rtt for s in states) ** 2)
         best_reno = max(1.0 / s.cwnd for s in ctrl.states())
         assert coupled <= best_reno * len(params)
 
@@ -144,3 +150,80 @@ class TestDecreaseProperties:
             state = ctrl.subflows[key]
             assert state.bytes_between_last_losses == l2_before
             assert state.bytes_acked_since_loss == 0.0
+
+
+# -- the per-ACK loops against container-built references ---------------------
+# ``increase_increment`` runs once per ACK and computes its sums, maxima
+# and (OLIA) argmax-set memberships in plain loops without allocating.
+# These references build the same quantities the readable way — dicts,
+# ``max()``, and OLIA's public ``alphas()`` — and must agree *exactly*:
+# the golden traces pin every float, so "close" would be a regression.
+# Sums are left-to-right ``+`` on every interpreter (``sum()`` is
+# compensated from CPython 3.12 on, which is why the controllers do not
+# use it).
+
+#: Values drawn from a short list so exact ties (equal windows, equal
+#: scores, ``l_r == 0`` on every path) come up in most examples.
+tied_windows = st.one_of(st.sampled_from([1.0, 2.0, 10.0, 10.0, 37.5]),
+                         windows)
+tied_rtts = st.one_of(st.sampled_from([0.01, 0.1, 0.1, 0.25]), rtts)
+tied_interloss = st.one_of(st.sampled_from([0.0, 0.0, 1500.0, 3e6]),
+                           interloss)
+tied_states = st.lists(
+    st.tuples(tied_windows, tied_rtts, tied_interloss, tied_interloss),
+    min_size=1, max_size=4)
+
+
+def build_tied(controller, params):
+    for i, (w, rtt, l1, l2) in enumerate(params):
+        controller.register_subflow(i, SubflowState(
+            cwnd=w, rtt=rtt, bytes_acked_since_loss=l2,
+            bytes_between_last_losses=l1))
+    return controller
+
+
+def plain_sum(terms):
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+class TestSinglePassEqualsReference:
+    @given(tied_states, st.sampled_from([0.0, 1e-3]))
+    def test_olia(self, params, tie_tolerance):
+        ctrl = build_tied(OliaController(tie_tolerance), params)
+        states = ctrl.subflows
+        denom = plain_sum(s.cwnd / s.rtt for s in states.values())
+        alphas = ctrl.alphas()
+        for key, s in states.items():
+            kelly_voice = (s.cwnd / (s.rtt * s.rtt)) / (denom * denom)
+            assert ctrl.increase_increment(key) \
+                == kelly_voice + alphas[key] / s.cwnd
+
+    @given(tied_states)
+    def test_lia_and_coupled(self, params):
+        lia = build_tied(LiaController(), params)
+        coupled = build_tied(CoupledController(), params)
+        states = lia.subflows
+        denom = plain_sum(s.cwnd / s.rtt for s in states.values())
+        peak = max(s.cwnd / (s.rtt * s.rtt) for s in states.values())
+        for key, s in states.items():
+            assert lia.increase_increment(key) \
+                == min(peak / (denom * denom), 1.0 / s.cwnd)
+            assert coupled.increase_increment(key) \
+                == (s.cwnd / (s.rtt * s.rtt)) / (denom * denom)
+
+    @given(tied_states)
+    def test_balia(self, params):
+        ctrl = build_tied(BaliaController(), params)
+        rates = ctrl._rates()
+        total = plain_sum(rates.values())
+        for key, s in ctrl.subflows.items():
+            alpha = ctrl._alpha(key, rates)     # what the decrease uses
+            kelly = (rates[key] / s.rtt) / max(total * total, 1e-12)
+            assert ctrl.increase_increment(key) \
+                == kelly * ((1.0 + alpha) / 2.0) * ((4.0 + alpha) / 5.0)
+
+    @given(tied_states, st.sampled_from([None, 0.25]))
+    def test_ewtcp(self, params, weight):
+        ctrl = build_tied(EwtcpController(weight), params)
+        for key, s in ctrl.subflows.items():
+            assert ctrl.increase_increment(key) == ctrl.weight / s.cwnd

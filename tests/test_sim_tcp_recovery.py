@@ -5,9 +5,13 @@ so each recovery mechanism — fast retransmit, NewReno partial ACKs,
 RTO, Karn's algorithm, backoff — can be exercised in isolation.
 """
 
+import random
+
 import pytest
 
-from repro.sim import DropTailQueue, Link, Simulator, single_path_tcp
+from repro.sim import (DropTailQueue, Link, MptcpConnection, PathSpec,
+                       Simulator, single_path_tcp)
+from repro.sim.scheduler import COMPILED_AVAILABLE
 
 
 class ScriptedLink(Link):
@@ -192,7 +196,7 @@ class TestReceiverRobustness:
         flow.start(0.0)
         sim.run(until=1.0)
         # Force a spurious retransmission of an already-delivered seq.
-        flow._transmit(0, retransmitted=True)
+        flow._retransmit(0)
         sim.run(until=20.0)
         assert flow.completed
         assert flow.rcv_nxt == 30
@@ -205,3 +209,56 @@ class TestReceiverRobustness:
         sim.run(until=20.0)
         assert flow.completed
         assert not flow._out_of_order
+
+
+class TestRtoCache:
+    """``TcpSubflow._rto`` caches ``rto x backoff`` and the RTO timer is
+    re-armed by writing its ``deadline`` slot; check both after every
+    event of a run that samples RTTs, fast-retransmits and times out."""
+
+    @pytest.mark.parametrize("compiled", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not COMPILED_AVAILABLE, reason="compiled kernels not built"))])
+    def test_cache_and_deadline_hold_after_every_event(self, compiled):
+        subflows = []
+        last = {"time": 0.0, "deadlines": {}}
+
+        def check_after_event():
+            ran_at = last["time"]
+            for sf in subflows:
+                if not sf.started or sf.completed:
+                    continue
+                assert sf._rto == sf.rtt_estimator.rto * sf.backoff
+                timer = sf._rto_timer
+                if sf.in_flight > 0:
+                    # What lets a new ACK re-arm with a bare write.
+                    assert timer.armed and timer.wakeup is not None
+                if timer.deadline != last["deadlines"].get(id(sf)):
+                    # Re-armed by the event that just ran: never into
+                    # the past (arm_at checks; the inline write cannot).
+                    assert timer.deadline is None \
+                        or timer.deadline >= ran_at
+                    last["deadlines"][id(sf)] = timer.deadline
+
+        def hook(time, fn, args):
+            check_after_event()
+            last["time"] = time
+
+        sim = Simulator(trace=hook, compiled=compiled)
+        rng = random.Random(5)
+        lossy = [Link(sim, rate_bps=2e6, delay=0.01,
+                      queue=DropTailQueue(limit=8), name=f"l{i}",
+                      loss_rate=0.05, loss_rng=random.Random(rng.random()))
+                 for i in range(2)]
+        mptcp = MptcpConnection(
+            sim, "olia", [PathSpec((link,), 0.01) for link in lossy])
+        tcp = single_path_tcp(sim, (lossy[0],), reverse_delay=0.03)
+        subflows.extend(mptcp.subflows + [tcp])
+        mptcp.start(0.0)
+        tcp.start(0.1)
+        sim.run(until=20.0)
+        check_after_event()
+        assert sum(sf.timeouts for sf in subflows) >= 3
+        assert sum(sf.retransmits for sf in subflows) >= 20
+        assert all(sf.rtt_estimator.srtt is not None for sf in subflows)
