@@ -12,10 +12,8 @@ Usage::
 Every experiment prints its paper-style result table to stdout.  With
 ``--fast`` the simulated experiments run at reduced duration (useful for
 smoke checks); without it they use the benchmark defaults.  ``--jobs N``
-fans sweep-shaped experiments out over N worker processes and
-``--backend {loop,batch}`` selects how fluid sweeps are solved and
-integrated (one point at a time vs one vectorized batch) — neither
-changes any number in the tables.  ``--resume DIR`` caches every sweep
+fans sweep-shaped experiments out over N worker processes without
+changing any number in the tables.  ``--resume DIR`` caches every sweep
 point under DIR so an interrupted run picks up where it stopped, and
 ``--shard I/N`` computes only every N-th point (cells owned by other
 shards print as PENDING until their shard has run against the same
@@ -71,6 +69,7 @@ from .experiments import (
     shortflows,
     traces,
 )
+from .experiments.sweep import SweepRunner
 
 
 def _sim_kwargs(fast: bool, slow: dict, quick: dict) -> dict:
@@ -88,16 +87,16 @@ ALGORITHM_EXPERIMENTS = {
 }
 
 
-def _experiments(fast: bool, jobs: int = 1, backend: str = "loop",
-                 cache_dir=None, shard=None,
-                 algorithm: str | None = None,
-                 claim_ttl: float | None = None
+def _experiments(fast: bool, runner: SweepRunner | None = None,
+                 algorithm: str | None = None
                  ) -> Dict[str, Callable[[], object]]:
     """Experiment name -> zero-argument callable returning a table.
 
-    ``algorithm`` overrides the congestion-control algorithm of the
-    experiments listed in :data:`ALGORITHM_EXPERIMENTS`; names resolve
-    through the cross-layer registry.
+    ``runner`` executes the grids of the sweep-shaped experiments (see
+    :func:`_sweep_runner`); ``algorithm`` overrides the congestion-
+    control algorithm of the experiments listed in
+    :data:`ALGORITHM_EXPERIMENTS`; names resolve through the cross-layer
+    registry.
     """
     # Keep the ``**algo``/``**algos`` usage below in lockstep with
     # ALGORITHM_EXPERIMENTS — main() validates the override against
@@ -111,9 +110,6 @@ def _experiments(fast: bool, jobs: int = 1, backend: str = "loop",
     dyn = dict(k=4, duration=12.0, warmup=1.0) if not fast else \
         dict(k=4, duration=5.0, warmup=1.0)
     trace_len = 90.0 if not fast else 30.0
-    # Everything dispatched through SweepRunner accepts the queue knobs.
-    sweep = dict(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                 claim_ttl=claim_ttl)
     return {
         "fig1b": lambda: scenario_a.figure1_table(simulate_lia=True, **sim),
         "fig1c": lambda: scenario_a.figure1_table(),
@@ -125,30 +121,31 @@ def _experiments(fast: bool, jobs: int = 1, backend: str = "loop",
                                                      **sim),
         "fig7-8": lambda: traces.figure7_8_table(duration=trace_len),
         "fig9-10": lambda: scenario_a.figure9_10_table(
-            n1_values=(10, 30), c1_over_c2=(0.75, 1.5), **sim, **sweep),
+            n1_values=(10, 30), c1_over_c2=(0.75, 1.5), **sim,
+            runner=runner),
         "fig11-12": lambda: scenario_c.figure11_12_table(
-            n1_values=(10, 30), c1_over_c2=(1.0, 2.0), **sim, **sweep),
+            n1_values=(10, 30), c1_over_c2=(1.0, 2.0), **sim,
+            runner=runner),
         "fig13a": lambda: fattree.figure13a_table(
             subflow_counts=(2, 4, 8) if not fast else (2, 4), **tree,
-            **sweep),
+            runner=runner),
         "fig13b": lambda: fattree.figure13b_table(
-            n_subflows=8 if not fast else 4, **tree, **sweep),
-        "fig14": lambda: shortflows.figure14_table(**dyn, **sweep),
-        "table3": lambda: shortflows.table3(**dyn, **sweep),
+            n_subflows=8 if not fast else 4, **tree, runner=runner),
+        "fig14": lambda: shortflows.figure14_table(**dyn, runner=runner),
+        "table3": lambda: shortflows.table3(**dyn, runner=runner),
         "fig17": lambda: scenario_b.figure17_table(),
         "ablation-epsilon": lambda: ablation.epsilon_sweep_table(
-            backend=backend, **sweep),
+            runner=runner),
         "ablation-alpha": lambda: ablation.flappiness_table(
             duration=trace_len,
-            seeds=(1, 2, 3) if not fast else (1,), **sweep),
+            seeds=(1, 2, 3) if not fast else (1,), runner=runner),
         "ablation-queue": lambda: ablation.queue_discipline_table(
-            **sim, **sweep),
+            **sim, runner=runner),
         "responsiveness": lambda: responsiveness
             .capacity_drop_settling_table(**algos),
-        "stability": lambda: responsiveness.stability_table(
-            backend=backend, **algo),
+        "stability": lambda: responsiveness.stability_table(**algo),
         "rtt-sweep": lambda: rtt_heterogeneity.rtt_sweep_table(
-            backend=backend, **sweep, **algo),
+            runner=runner, **algo),
         "rtt-criterion": rtt_heterogeneity.best_path_criterion_table,
         "calibration": lambda: calibration.formula_validation_table(
             duration=40.0 if not fast else 15.0,
@@ -185,6 +182,61 @@ def _parse_shard(text: str):
     return shard
 
 
+def _sweep_options() -> argparse.ArgumentParser:
+    """Parent parser: how ``run`` and ``scale`` execute their grids."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes for sweep grids "
+                             "(default: 1, i.e. in-process)")
+    parent.add_argument("--resume", metavar="DIR", default=None,
+                        help="cache every sweep point under DIR; "
+                             "re-running with the same DIR skips completed "
+                             "points (resumable sweeps)")
+    parent.add_argument("--shard", metavar="I/N", type=_parse_shard,
+                        default=None,
+                        help="compute only sweep points with index %% N "
+                             "== I ('steal' claims cache-missing points "
+                             "dynamically via lock files instead — best "
+                             "when point costs vary wildly); requires "
+                             "--resume so the shards can merge their "
+                             "results")
+    parent.add_argument("--claim-ttl", type=float, default=None,
+                        metavar="SECONDS",
+                        help="reap .claim lock files older than SECONDS "
+                             "as abandoned by a dead run (default: never "
+                             "— claims persist until released)")
+    return parent
+
+
+def _sweep_runner(args) -> SweepRunner | None:
+    """The :class:`SweepRunner` the :func:`_sweep_options` flags ask
+    for, or ``None`` after saying on stderr what is wrong with them."""
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+        return None
+    if args.shard is not None and args.resume is None and (
+            args.shard == "steal" or args.shard[1] > 1):
+        print("--shard requires --resume DIR: the shared cache is how the "
+              "shards' results are merged", file=sys.stderr)
+        return None
+    if args.claim_ttl is not None and not args.claim_ttl > 0:
+        print(f"--claim-ttl must be > 0 seconds (got {args.claim_ttl})",
+              file=sys.stderr)
+        return None
+    return SweepRunner(jobs=args.jobs, cache_dir=args.resume,
+                       shard=args.shard, claim_ttl=args.claim_ttl)
+
+
+def _report_dir_exists(output: str) -> bool:
+    """Whether ``--output`` can be written; says why not on stderr."""
+    out_dir = os.path.dirname(os.path.abspath(output))
+    if os.path.isdir(out_dir):
+        return True
+    print(f"cannot write report: no such directory {out_dir}",
+          file=sys.stderr)
+    return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -192,42 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Pareto-Optimal' (Khalili et al.)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    run = sub.add_parser("run", help="run one or more experiments")
+    sweep_options = _sweep_options()
+    run = sub.add_parser("run", parents=[sweep_options],
+                         help="run one or more experiments")
     run.add_argument("experiments", nargs="+",
                      help="experiment names (or 'all')")
     run.add_argument("--fast", action="store_true",
                      help="reduced durations for a quick smoke run")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for sweep-shaped experiments "
-                          "(default: 1, i.e. in-process)")
-    run.add_argument("--backend", choices=("loop", "batch"),
-                     default="loop",
-                     help="fluid sweep solve/integration backend (results "
-                          "are identical; batch is faster)")
     run.add_argument("--algorithm", default=None, metavar="NAME",
                      help="override the congestion-control algorithm of "
                           "the experiments that take one (rtt-sweep, "
                           "stability, responsiveness); any name from "
                           "'python -m repro algorithms'")
-    run.add_argument("--resume", metavar="DIR", default=None,
-                     help="cache every sweep point under DIR; re-running "
-                          "with the same DIR skips completed points "
-                          "(resumable sweeps)")
-    run.add_argument("--shard", metavar="I/N", type=_parse_shard,
-                     default=None,
-                     help="compute only sweep points with index %% N == I "
-                          "('steal' claims cache-missing points "
-                          "dynamically via lock files instead — best "
-                          "when point costs vary wildly); requires "
-                          "--resume so the shards can merge their "
-                          "results")
-    run.add_argument("--claim-ttl", type=float, default=None,
-                     metavar="SECONDS",
-                     help="reap .claim lock files older than SECONDS "
-                          "as abandoned by a dead run (default: never "
-                          "— claims persist until released)")
     scale_cmd = sub.add_parser(
-        "scale",
+        "scale", parents=[sweep_options],
         help="run generated scale workloads and write BENCH_scale.json")
     scale_cmd.add_argument("--preset", dest="presets", action="append",
                            choices=sorted(scale.PRESETS),
@@ -271,20 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "preset mix)")
     scale_cmd.add_argument("--seed", type=int, default=1,
                            help="generator seed (default: 1)")
-    scale_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes for the preset/family "
-                                "grids (default: 1)")
-    scale_cmd.add_argument("--resume", metavar="DIR", default=None,
-                           help="cache every grid point under DIR "
-                                "(resumable/sharded, as for 'run')")
-    scale_cmd.add_argument("--shard", metavar="I/N", type=_parse_shard,
-                           default=None,
-                           help="compute only this shard of the grid "
-                                "(or 'steal'); requires --resume")
-    scale_cmd.add_argument("--claim-ttl", type=float, default=None,
-                           metavar="SECONDS",
-                           help="reap .claim lock files older than "
-                                "SECONDS as abandoned (default: never)")
     scale_cmd.add_argument("--output", default="BENCH_scale.json",
                            metavar="PATH",
                            help="where to write the JSON report "
@@ -608,10 +624,7 @@ def _sweep_fabric(args) -> int:
         return 0
 
     # bench
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    if not os.path.isdir(out_dir):
-        print(f"cannot write report: no such directory {out_dir}",
-              file=sys.stderr)
+    if not _report_dir_exists(args.output):
         return 2
     try:
         worker_counts = tuple(int(n) for n in _parse_names(args.workers))
@@ -702,18 +715,8 @@ def main(argv=None) -> int:
         return 1 if bad else 0
 
     if args.command == "scale":
-        out_dir = os.path.dirname(os.path.abspath(args.output))
-        if not os.path.isdir(out_dir):
-            print(f"cannot write report: no such directory {out_dir}",
-                  file=sys.stderr)
-            return 2
-        if args.jobs < 1:
-            print(f"--jobs must be >= 1 (got {args.jobs})",
-                  file=sys.stderr)
-            return 2
-        if args.shard is not None and args.resume is None:
-            print("--shard requires --resume DIR: the shared cache is "
-                  "how the shards' results are merged", file=sys.stderr)
+        runner = _sweep_runner(args)
+        if runner is None or not _report_dir_exists(args.output):
             return 2
         backends = _parse_names(args.engine_backends) or ()
         schedulers = _parse_names(args.schedulers) or ()
@@ -726,10 +729,7 @@ def main(argv=None) -> int:
                 families=families, schedulers=schedulers,
                 duration=args.duration, warmup=args.warmup,
                 max_flows=args.max_flows, algorithms=algorithms,
-                seed=args.seed,
-                smoke=args.smoke or None, jobs=args.jobs,
-                cache_dir=args.resume, shard=args.shard,
-                claim_ttl=args.claim_ttl)
+                seed=args.seed, smoke=args.smoke or None, runner=runner)
         except (KeyError, ValueError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             print(str(message), file=sys.stderr)
@@ -751,10 +751,7 @@ def main(argv=None) -> int:
             write_report
         from .serve.loadgen import format_report as serve_format
         if args.loadgen:
-            out_dir = os.path.dirname(os.path.abspath(args.output))
-            if not os.path.isdir(out_dir):
-                print(f"cannot write report: no such directory {out_dir}",
-                      file=sys.stderr)
+            if not _report_dir_exists(args.output):
                 return 2
             overrides = {"seed": args.seed,
                          "batch_window": args.batch_window,
@@ -786,10 +783,7 @@ def main(argv=None) -> int:
 
     if args.command == "bench":
         from .benchreport import format_report, run_bench
-        out_dir = os.path.dirname(os.path.abspath(args.output))
-        if not os.path.isdir(out_dir):
-            print(f"cannot write report: no such directory {out_dir}",
-                  file=sys.stderr)
+        if not _report_dir_exists(args.output):
             return 2
         report = run_bench(args.output, smoke=args.smoke or None)
         print(format_report(report))
@@ -799,18 +793,10 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         return _sweep_fabric(args)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+    runner = _sweep_runner(args)
+    if runner is None:
         return 2
-    if args.shard is not None and args.resume is None and (
-            args.shard == "steal" or args.shard[1] > 1):
-        print("--shard requires --resume DIR: the shared cache is how the "
-              "shards' results are merged", file=sys.stderr)
-        return 2
-    registry = _experiments(args.fast, jobs=args.jobs, backend=args.backend,
-                            cache_dir=args.resume, shard=args.shard,
-                            algorithm=args.algorithm,
-                            claim_ttl=args.claim_ttl)
+    registry = _experiments(args.fast, runner, algorithm=args.algorithm)
     names = list(registry) if "all" in args.experiments \
         else args.experiments
     unknown = [n for n in names if n not in registry]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..experiments.runner import RunSpec
 from ..serve.store import MISSING, ResultStore
+from ..util.jsonlines import serve_json_lines
 from .protocol import PROTOCOL_VERSION, decode_payload, encode_payload
 
 __all__ = [
@@ -79,6 +79,11 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 #: park points forever.  Single-host ``SweepRunner`` keeps its
 #: ``None``-by-default; the CLI surfaces ``--claim-ttl`` everywhere.
 DEFAULT_CLAIM_TTL = 300.0
+
+#: Longest request line the coordinator reads (bytes).  A ``result``
+#: line carries one point's whole result as a base64 pickle; a longer
+#: one is rejected in-band and the worker stops with that error.
+MAX_LINE_BYTES = 1 << 26
 
 
 @dataclass
@@ -417,35 +422,27 @@ class SweepCoordinator:
                                  writer: asyncio.StreamWriter) -> None:
         self._open_connections += 1
         connection_workers: Set[str] = set()
+        handlers = {
+            "register": self._op_register,
+            "lease": self._op_lease,
+            "result": self._op_result,
+            "heartbeat": self._op_heartbeat,
+            "goodbye": self._op_goodbye,
+            "status": lambda _payload: self.status(),
+        }
+
+        async def dispatch(payload: dict) -> dict:
+            op = payload.get("op")
+            handler = handlers.get(op)
+            if handler is None:
+                raise ValueError(f"unknown op {op!r}")
+            response = handler(payload)
+            if op == "register":
+                connection_workers.add(response["worker_id"])
+            return response
+
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    payload = json.loads(line)
-                    op = payload.get("op")
-                    handler = {
-                        "register": self._op_register,
-                        "lease": self._op_lease,
-                        "result": self._op_result,
-                        "heartbeat": self._op_heartbeat,
-                        "goodbye": self._op_goodbye,
-                        "status": lambda _payload: self.status(),
-                    }.get(op)
-                    if handler is None:
-                        raise ValueError(f"unknown op {op!r}")
-                    response = {"ok": True, **handler(payload)}
-                    if op == "register":
-                        connection_workers.add(response["worker_id"])
-                except Exception as exc:  # protocol boundary: stay up
-                    response = {"ok": False,
-                                "error": f"{type(exc).__name__}: {exc}"}
-                writer.write((json.dumps(response) + "\n").encode())
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
+            await serve_json_lines(reader, writer, dispatch)
         except asyncio.CancelledError:
             pass   # server shutting down with this connection open
         finally:
@@ -456,7 +453,6 @@ class SweepCoordinator:
             if not self.done:
                 for worker_id in connection_workers:
                     self._drop_worker(worker_id, reason="disconnect")
-            writer.close()
 
     async def _reap_loop(self) -> None:
         last_progress = 0.0
@@ -496,7 +492,7 @@ class SweepCoordinator:
         if self.done:
             self._done_event.set()
         server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES)
         self.bound_port = server.sockets[0].getsockname()[1]
         if ready is not None:
             ready(self.bound_port)

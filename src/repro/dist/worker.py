@@ -37,7 +37,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..experiments.runner import RunSpec
 from ..serve.store import MISSING, ResultStore
 from ..util.atomics import release_claim, try_claim
-from .protocol import (PROTOCOL_VERSION, JsonLineConnection,
+from .protocol import (PROTOCOL_VERSION, JsonLineConnection, ProtocolError,
                        decode_payload, encode_payload)
 
 __all__ = ["SweepWorker", "WorkerSummary"]
@@ -54,7 +54,8 @@ class WorkerSummary:
     reconnects: int = 0
     wall_seconds: float = 0.0
     #: ``"done"`` (grid complete), ``"coordinator-gone"`` (reconnect
-    #: attempts exhausted before the grid finished), or ``"stopped"``.
+    #: attempts exhausted before the grid finished), ``"stopped"``, or
+    #: the coordinator's in-band error when it rejected a request.
     reason: str = "done"
 
     @property
@@ -181,6 +182,13 @@ class SweepWorker:
                     # worker_id was reaped after a restart): register
                     # afresh.  Our old leases get requeued server-side.
                     continue
+                except ProtocolError as exc:
+                    # The coordinator is up and said no (wrong grid
+                    # revision, result over its line limit): asking
+                    # again would be leased the same point and fail the
+                    # same way.
+                    summary.reason = str(exc)
+                    break
                 if done:
                     summary.reason = "done"
                     break

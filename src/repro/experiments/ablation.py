@@ -13,8 +13,9 @@ modelling choice, "ACKs are notifications", is in docs/ARCHITECTURE.md).
    choice (the paper uses RED on the testbed, drop-tail in htsim).
 
 All three are parameter sweeps of pure point functions, dispatched
-through :class:`~repro.experiments.sweep.SweepRunner` so they can run on
-a worker pool (``jobs=N``) without changing any number in the tables.
+through the :class:`~repro.experiments.sweep.SweepRunner` passed as
+``runner``, so they can run on a worker pool without changing any
+number in the tables.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ def _epsilon_batch_rows(epsilons, *, n1: int, n2: int, c1_mbps: float,
     is bitwise-identical to the sequential :func:`epsilon_sweep_point`.
     """
     epsilons = list(epsilons)
-    if any(e < 0 for e in epsilons):
-        # Same validation (and exception type) as the loop backend's
-        # epsilon_family_allocation call.
-        raise ValueError("epsilon must be non-negative")
     rows = {}
     groups = [([e for e in epsilons if e > 0], "eps"),
               ([e for e in epsilons if e == 0], "olia")]
@@ -120,49 +117,37 @@ def epsilon_sweep_table(*, n1: int = 10, n2: int = 10,
                         c1_mbps: float = 1.0, c2_mbps: float = 1.0,
                         rtt: float = 0.15,
                         epsilons=(0.0, 0.5, 1.0, 1.5, 2.0),
-                        jobs: int = 1, cache_dir=None,
-                        shard=None, claim_ttl=None,
-                        backend: str = "loop") -> ResultTable:
+                        runner: SweepRunner | None = None) -> ResultTable:
     """Fixed points of the epsilon-family on the scenario C network.
 
-    ``backend="batch"`` solves all pending epsilon points in one
+    The points ``runner`` finds pending are solved in one
     :func:`~repro.fluid.solve_fixed_point_batch` call per rule family
     (per-point epsilons ride a
-    :class:`~repro.fluid.equilibrium.PerPointEpsilonRule`); ``"loop"``
-    goes point-by-point, optionally over a ``jobs``-wide pool.  Both run
-    through :class:`SweepRunner` — ``cache_dir``/``shard`` compose with
-    either, and the rows are bitwise-identical.
+    :class:`~repro.fluid.equilibrium.PerPointEpsilonRule`); every row
+    is bitwise-identical to its :func:`epsilon_sweep_point`, which is
+    what the cache entries are keyed on.
     """
     if any(e < 0 for e in epsilons):
-        # Validate up front on both backends: the loop point function
-        # would silently treat a negative as OLIA (its eps > 0 test)
-        # and the batch grouping would KeyError at row assembly.
+        # The point function would silently treat a negative as OLIA
+        # (its eps > 0 test) and the batch grouping would KeyError at
+        # row assembly.
         raise ValueError("epsilon must be non-negative")
     table = ResultTable(
         "Ablation - epsilon-family on scenario C "
         "(eps=0 ~ OLIA, eps=1 ~ LIA, eps=2 ~ uncoupled)",
         ["epsilon", "mp rate (pkt/s)", "sp rate (pkt/s)", "p2",
          "mp share of AP2 (%)"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
     specs = [RunSpec.make(epsilon_sweep_point, epsilon=epsilon, n1=n1,
                           n2=n2, c1_mbps=c1_mbps, c2_mbps=c2_mbps,
                           rtt=rtt)
              for epsilon in epsilons]
-    if backend == "batch":
-        def solve_pending(pending):
-            eps = [dict(spec.kwargs)["epsilon"] for spec in pending]
-            return _epsilon_batch_rows(eps, n1=n1, n2=n2,
-                                       c1_mbps=c1_mbps,
-                                       c2_mbps=c2_mbps, rtt=rtt)
 
-        rows = runner.run_batched(specs, solve_pending)
-    elif backend == "loop":
-        rows = runner.run(specs)
-    else:
-        raise ValueError(f"unknown backend {backend!r} "
-                         "(expected 'loop' or 'batch')")
-    for row in rows:
+    def solve_pending(pending):
+        eps = [dict(spec.kwargs)["epsilon"] for spec in pending]
+        return _epsilon_batch_rows(eps, n1=n1, n2=n2, c1_mbps=c1_mbps,
+                                   c2_mbps=c2_mbps, rtt=rtt)
+
+    for row in (runner or SweepRunner()).run_batched(specs, solve_pending):
         table.add_row(*pending_row(row, len(table.columns)))
     table.add_note("larger epsilon -> more multipath traffic parked on "
                    "the congested AP2 and lower single-path rates")
@@ -185,9 +170,8 @@ def flappiness_point(*, algorithm: str, capacity_mbps: float,
 
 def flappiness_table(*, capacity_mbps: float = 10.0,
                      duration: float = 90.0,
-                     seeds=(1, 2, 3), jobs: int = 1,
-                     cache_dir=None, shard=None,
-                     claim_ttl=None) -> ResultTable:
+                     seeds=(1, 2, 3),
+                     runner: SweepRunner | None = None) -> ResultTable:
     """OLIA vs the alpha-less coupled controller on symmetric paths.
 
     The coupled controller concentrates its window on one path and flips
@@ -200,9 +184,7 @@ def flappiness_table(*, capacity_mbps: float = 10.0,
         f"mean over {len(seeds)} seeds)",
         ["algorithm", "w1", "w2", "imbalance", "one-sided frac"])
     algorithms = ("olia", "coupled")
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    samples = runner.run([
+    samples = (runner or SweepRunner()).run([
         RunSpec.make(flappiness_point, algorithm=algorithm,
                      capacity_mbps=capacity_mbps, duration=duration,
                      seed=seed)
@@ -234,16 +216,14 @@ def queue_discipline_point(*, queue: str, algorithm: str, n1: int, n2: int,
 def queue_discipline_table(*, n1: int = 10, n2: int = 10,
                            c1_mbps: float = 1.0, c2_mbps: float = 1.0,
                            duration: float = 30.0, warmup: float = 15.0,
-                           seed: int = 1, jobs: int = 1,
-                           cache_dir=None, shard=None,
-                           claim_ttl=None) -> ResultTable:
+                           seed: int = 1,
+                           runner: SweepRunner | None = None
+                           ) -> ResultTable:
     """Scenario C under RED (testbed) and drop-tail (htsim) queues."""
     table = ResultTable(
         "Ablation - queue discipline: scenario C, N1=N2, C1=C2",
         ["queue", "algorithm", "sp normalized", "p2"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    rows = runner.run([
+    rows = (runner or SweepRunner()).run([
         RunSpec.make(queue_discipline_point, queue=queue,
                      algorithm=algorithm, n1=n1, n2=n2, c1_mbps=c1_mbps,
                      c2_mbps=c2_mbps, duration=duration, warmup=warmup,

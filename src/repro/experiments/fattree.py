@@ -86,20 +86,17 @@ def run_permutation(algorithm: str, *, n_subflows: int = 8, k: int = 8,
 def figure13a_table(*, k: int = 8, link_mbps: float = 10.0,
                     duration: float = 3.0, warmup: float = 1.0,
                     subflow_counts=(2, 4, 8), seed: int = 1,
-                    algorithms=("lia", "olia"), jobs: int = 1,
-                    cache_dir=None, shard=None,
-                    claim_ttl=None) -> ResultTable:
+                    algorithms=("lia", "olia"),
+                    runner: SweepRunner | None = None) -> ResultTable:
     """Figure 13(a): aggregate throughput vs number of subflows.
 
     Every (algorithm, subflow-count) cell plus the TCP baseline is an
-    independent permutation run, dispatched through
-    :class:`SweepRunner` (``jobs``/``cache_dir``/``shard`` as usual).
+    independent permutation run, dispatched through ``runner``
+    (default: an in-process :class:`SweepRunner`).
     """
     table = ResultTable(
         "Fig. 13(a) - FatTree permutation: throughput (% of optimal)",
         ["subflows", *[a.upper() for a in algorithms], "TCP"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
     specs = [RunSpec.make(run_permutation, algorithm="tcp", k=k,
                           link_mbps=link_mbps, duration=duration,
                           warmup=warmup, seed=seed)]
@@ -109,7 +106,7 @@ def figure13a_table(*, k: int = 8, link_mbps: float = 10.0,
                      duration=duration, warmup=warmup, seed=seed)
         for n_subflows in subflow_counts
         for algorithm in algorithms]
-    runs = runner.run(specs)
+    runs = (runner or SweepRunner()).run(specs)
     tcp, rest = runs[0], runs[1:]
     n_algos = len(algorithms)
     for cell, n_subflows in enumerate(subflow_counts):
@@ -126,22 +123,19 @@ def figure13a_table(*, k: int = 8, link_mbps: float = 10.0,
 def figure13b_table(*, k: int = 8, link_mbps: float = 10.0,
                     duration: float = 3.0, warmup: float = 1.0,
                     n_subflows: int = 8, seed: int = 1,
-                    percentiles=(10, 25, 50, 75, 90), jobs: int = 1,
-                    cache_dir=None, shard=None,
-                    claim_ttl=None) -> ResultTable:
+                    percentiles=(10, 25, 50, 75, 90),
+                    runner: SweepRunner | None = None) -> ResultTable:
     """Figure 13(b): ranked per-flow throughput, 8 subflows vs TCP.
 
     The three runs (LIA, OLIA, TCP baseline) are independent, so they
-    go through :class:`SweepRunner` like every other grid.
+    go through ``runner`` like every other grid.
     """
     table = ResultTable(
         "Fig. 13(b) - FatTree: per-flow throughput percentiles "
         "(% of line rate)",
         ["percentile", "LIA", "OLIA", "TCP"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
     names = ("LIA", "OLIA", "TCP")
-    results = runner.run([
+    results = (runner or SweepRunner()).run([
         RunSpec.make(run_permutation, algorithm=name.lower(),
                      **({} if name == "TCP"
                         else {"n_subflows": n_subflows}),

@@ -76,8 +76,7 @@ def capacity_drop_settling_table(*, algorithms=("olia", "lia", "coupled",
 
 def stability_table(*, algorithm: str = "olia",
                     perturbation_factors=(0.2, 0.5, 2.0, 5.0),
-                    t_end: float = 80.0, dt: float = 2e-3,
-                    backend: str = "batch") -> ResultTable:
+                    t_end: float = 80.0, dt: float = 2e-3) -> ResultTable:
     """Return-to-equilibrium check under large initial perturbations.
 
     Integrates the dynamics from the equilibrium scaled by each factor
@@ -85,13 +84,11 @@ def stability_table(*, algorithm: str = "olia",
     spread means every perturbed trajectory returned to the same fixed
     point (numerical evidence of stability).
 
-    ``backend='batch'`` stacks every perturbation factor into one
-    :class:`~repro.fluid.BatchFluidIntegrator` run; ``'loop'`` integrates
-    them one at a time.  Both produce bitwise-identical tables — the
-    batch merely pays the per-step Python overhead once.
+    Every perturbation factor is stacked into one
+    :class:`~repro.fluid.BatchFluidIntegrator` run, bitwise-identical
+    to integrating them one at a time with :func:`~repro.fluid.integrate`
+    — the batch merely pays the per-step Python overhead once.
     """
-    if backend not in ("loop", "batch"):
-        raise ValueError(f"unknown backend {backend!r}; use loop or batch")
     net, rules = _two_ap_network(800.0, 800.0)
     rules[0] = algorithm
     reference = integrate(net, rules, t_end=t_end, dt=dt).tail_average()
@@ -102,28 +99,16 @@ def stability_table(*, algorithm: str = "olia",
     if not perturbation_factors:
         table.add_note("no perturbation factors given")
         return table
-    if backend == "batch":
-        nets = [net]
-        for _ in perturbation_factors[1:]:
-            net_p, _ = _two_ap_network(800.0, 800.0)
-            nets.append(net_p)
-        x0 = np.stack([reference * factor
-                       for factor in perturbation_factors])
-        batch = integrate_batch(nets, rules, t_end=t_end, dt=dt, x0=x0)
-        tails = batch.tail_average()
-        deviations = [float(np.max(np.abs(tails[k] - reference))) / scale
-                      for k in range(len(perturbation_factors))]
-    else:
-        deviations = []
-        for factor in perturbation_factors:
-            net_p, rules_p = _two_ap_network(800.0, 800.0)
-            rules_p[0] = algorithm
-            perturbed = integrate(net_p, rules_p, t_end=t_end, dt=dt,
-                                  x0=reference * factor)
-            deviations.append(float(np.max(
-                np.abs(perturbed.tail_average() - reference))) / scale)
-    for factor, deviation in zip(perturbation_factors, deviations):
-        table.add_row(factor, deviation)
+    nets = [net]
+    for _ in perturbation_factors[1:]:
+        net_p, _ = _two_ap_network(800.0, 800.0)
+        nets.append(net_p)
+    x0 = np.stack([reference * factor for factor in perturbation_factors])
+    batch = integrate_batch(nets, rules, t_end=t_end, dt=dt, x0=x0)
+    tails = batch.tail_average()
+    for k, factor in enumerate(perturbation_factors):
+        table.add_row(
+            factor, float(np.max(np.abs(tails[k] - reference))) / scale)
     table.add_note("all rows should be small: trajectories return to the "
                    "same equilibrium from any starting point")
     return table

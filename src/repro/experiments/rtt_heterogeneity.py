@@ -101,9 +101,8 @@ def _batch_sweep_rows(*, algorithm: str, base_rtt: float, rtt_ratios,
 
 def rtt_sweep_table(*, algorithm: str = "olia", base_rtt: float = 0.1,
                     rtt_ratios=(0.25, 0.5, 1.0, 2.0, 4.0),
-                    n_tcp: int = 3, jobs: int = 1, cache_dir=None,
-                    shard=None, claim_ttl=None,
-                    backend: str = "loop") -> ResultTable:
+                    n_tcp: int = 3,
+                    runner: SweepRunner | None = None) -> ResultTable:
     """Fluid fixed point as AP1's RTT varies relative to AP2's.
 
     With a *small* RTT on AP1, the TCP-compatible best-path criterion
@@ -112,39 +111,27 @@ def rtt_sweep_table(*, algorithm: str = "olia", base_rtt: float = 0.1,
     traffic towards the congested AP2 even though AP1 has free capacity
     — the residual unfairness Remark 3 attributes to TCP compatibility.
 
-    ``backend="batch"`` stacks the pending ratio points into one
+    The ratio points ``runner`` finds pending are stacked into one
     :func:`~repro.fluid.solve_fixed_point_batch` call (the K networks
-    share a topology and differ only in RTTs); ``backend="loop"`` goes
-    point-by-point, optionally over a ``jobs``-wide pool.  Both
-    backends run through :class:`SweepRunner`, so ``cache_dir`` and
-    ``shard`` compose with either, the cache entries are
-    interchangeable, and the rows are bitwise-identical.  (``jobs`` is
-    a no-op under ``batch``: the whole batch is one vectorized call.)
+    share a topology and differ only in RTTs); every row is
+    bitwise-identical to its :func:`rtt_sweep_point`, which is what the
+    cache entries are keyed on.
     """
     table = ResultTable(
         f"RTT heterogeneity - {algorithm.upper()} fixed point "
         "(AP1 rtt = ratio * AP2 rtt, TCP users on both APs)",
         ["rtt1/rtt2", "mp rate on AP1", "mp rate on AP2",
          "tcp@AP1 rate", "tcp@AP2 rate", "p2"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
     specs = [RunSpec.make(rtt_sweep_point, algorithm=algorithm,
                           base_rtt=base_rtt, ratio=ratio, n_tcp=n_tcp)
              for ratio in rtt_ratios]
-    if backend == "batch":
-        def solve_pending(pending):
-            ratios = [dict(spec.kwargs)["ratio"] for spec in pending]
-            return _batch_sweep_rows(algorithm=algorithm,
-                                     base_rtt=base_rtt,
-                                     rtt_ratios=ratios, n_tcp=n_tcp)
 
-        rows = runner.run_batched(specs, solve_pending)
-    elif backend == "loop":
-        rows = runner.run(specs)
-    else:
-        raise ValueError(f"unknown backend {backend!r} "
-                         "(expected 'loop' or 'batch')")
-    for row in rows:
+    def solve_pending(pending):
+        ratios = [dict(spec.kwargs)["ratio"] for spec in pending]
+        return _batch_sweep_rows(algorithm=algorithm, base_rtt=base_rtt,
+                                 rtt_ratios=ratios, n_tcp=n_tcp)
+
+    for row in (runner or SweepRunner()).run_batched(specs, solve_pending):
         table.add_row(*pending_row(row, len(table.columns)))
     table.add_note("rising rtt1/rtt2 pushes the TCP-compatible optimum "
                    "towards the shared AP2, squeezing its TCP users")

@@ -353,13 +353,12 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
                  repeats: Optional[int] = None,
                  algorithms: Optional[Sequence[str]] = None,
                  seed: int = 1, smoke: Optional[bool] = None,
-                 jobs: int = 1, cache_dir=None, shard=None,
-                 claim_ttl: Optional[float] = None) -> dict:
+                 runner: Optional[SweepRunner] = None) -> dict:
     """Run the preset × backend grid (plus optional family × scheduler
     × CC sections) and assemble the report dict.
 
-    The grids go through :class:`SweepRunner` — ``jobs``, ``cache_dir``
-    and ``shard`` behave exactly as for the figure sweeps, so a 10k-flow
+    The grids go through ``runner`` (default: an in-process
+    :class:`SweepRunner`) exactly as the figure sweeps do, so a 10k-flow
     grid can be split across machines through a shared cache directory.
     In a sharded run, cells owned by other shards are simply absent
     from the report (and the table prints them as PENDING).
@@ -417,8 +416,6 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
     # (the paper's algorithm) as the canonical column.
     family_algorithms = tuple(algorithms) if algorithms else ("olia",)
 
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
     specs = [
         RunSpec.make(run_scale_point, preset=preset, backend=backend,
                      duration=duration, warmup=warmup, max_flows=max_flows,
@@ -443,7 +440,7 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
     def note_cache(tick):
         from_cache[tick.index] = tick.from_cache
 
-    runs = runner.run(specs, progress=note_cache)
+    runs = (runner or SweepRunner()).run(specs, progress=note_cache)
 
     report: dict = {
         "benchmark": "BENCH_scale",
@@ -544,16 +541,6 @@ def family_table(report: dict) -> ResultTable:
     return table
 
 
-def scale_table(presets: Sequence[str] = ("medium",), *,
-                backends: Sequence[str] = ("heap", "wheel", "auto"),
-                jobs: int = 1, cache_dir=None, shard=None,
-                **kwargs) -> ResultTable:
-    """Convenience: :func:`scale_report` rendered as a ResultTable."""
-    report = scale_report(presets, backends=backends, jobs=jobs,
-                          cache_dir=cache_dir, shard=shard, **kwargs)
-    return report_table(report)
-
-
 def write_report(report: dict, output_path: str) -> None:
     """Write ``BENCH_scale.json``."""
     with open(output_path, "w") as fh:
@@ -572,7 +559,6 @@ __all__ = [
     "run_family_point",
     "run_scale_point",
     "scale_report",
-    "scale_table",
     "smoke_mode",
     "write_report",
 ]

@@ -117,24 +117,20 @@ def figure9_10_table(*, n1_values=(10, 20, 30), n2: int = 10,
                      c1_over_c2=(0.75, 1.0, 1.5), c2_mbps: float = 1.0,
                      rtt: float = 0.15, duration: float = 30.0,
                      warmup: float = 15.0, seed: int = 1,
-                     algorithms=("lia", "olia"), jobs: int = 1,
-                     cache_dir=None, shard=None,
-                     claim_ttl=None) -> ResultTable:
+                     algorithms=("lia", "olia"),
+                     runner: SweepRunner | None = None) -> ResultTable:
     """Figures 9/10: measured LIA vs OLIA vs optimum in scenario A.
 
     Each (C1/C2, N1, algorithm) cell is an independent DES run, so the
-    grid is dispatched through :class:`SweepRunner`; ``jobs=N`` fans the
-    runs out over worker processes, ``cache_dir`` makes the sweep
-    resumable and ``shard=(i, n)`` computes only one slice of the grid.
+    grid is dispatched through ``runner`` (default: an in-process
+    :class:`SweepRunner`), which owns pool size, caching and sharding.
     """
     table = ResultTable(
         "Fig. 9/10 - Scenario A: measured LIA vs OLIA",
         ["C1/C2", "N1/N2", "type2 LIA", "type2 OLIA", "type2 opt",
          "p2 LIA", "p2 OLIA", "p2 opt"])
     grid = [(ratio, n1) for ratio in c1_over_c2 for n1 in n1_values]
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    runs = runner.run([
+    runs = (runner or SweepRunner()).run([
         RunSpec.make(simulate, algorithm=algorithm, n1=n1, n2=n2,
                      c1_mbps=ratio * c2_mbps, c2_mbps=c2_mbps,
                      duration=duration, warmup=warmup, seed=seed)

@@ -127,22 +127,19 @@ def figure11_12_table(*, n1_values=(5, 10, 20, 30), n2: int = 10,
                       c1_over_c2=(1.0, 2.0), c2_mbps: float = 1.0,
                       rtt: float = 0.15, duration: float = 30.0,
                       warmup: float = 15.0, seed: int = 1,
-                      jobs: int = 1, cache_dir=None,
-                      shard=None, claim_ttl=None) -> ResultTable:
+                      runner: SweepRunner | None = None) -> ResultTable:
     """Figures 11/12: measured LIA vs OLIA in scenario C.
 
     Each (C1/C2, N1, algorithm) cell is an independent DES run, so the
-    grid is dispatched through :class:`SweepRunner`; ``jobs=N`` fans the
-    runs out over worker processes without changing any number.
+    grid is dispatched through ``runner`` (default: an in-process
+    :class:`SweepRunner`) without changing any number.
     """
     table = ResultTable(
         "Fig. 11/12 - Scenario C: measured LIA vs OLIA",
         ["C1/C2", "N1/N2", "sp LIA", "sp OLIA", "sp opt",
          "p2 LIA", "p2 OLIA", "p2 opt"])
     grid = [(ratio, n1) for ratio in c1_over_c2 for n1 in n1_values]
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    runs = runner.run([
+    runs = (runner or SweepRunner()).run([
         RunSpec.make(simulate, algorithm=algorithm, n1=n1, n2=n2,
                      c1_mbps=ratio * c2_mbps, c2_mbps=c2_mbps,
                      duration=duration, warmup=warmup, seed=seed)

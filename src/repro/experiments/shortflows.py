@@ -137,21 +137,18 @@ def run_dynamic(algorithm: str, *, k: int = 4, link_mbps: float = 40.0,
 def table3(*, k: int = 4, link_mbps: float = 40.0,
            duration: float = 10.0, warmup: float = 1.0,
            n_subflows: int = 8, seed: int = 1,
-           algorithms=("lia", "olia", "tcp"), jobs: int = 1,
-           cache_dir=None, shard=None,
-           claim_ttl=None) -> ResultTable:
+           algorithms=("lia", "olia", "tcp"),
+           runner: SweepRunner | None = None) -> ResultTable:
     """Table III: short-flow FCT and core utilization per algorithm.
 
     One independent dynamic run per algorithm, dispatched through
-    :class:`SweepRunner` (``jobs``/``cache_dir``/``shard`` as usual).
+    ``runner`` (default: an in-process :class:`SweepRunner`).
     """
     table = ResultTable(
         "Table III - dynamic FatTree: short-flow completion times",
         ["long-flow algorithm", "FCT mean (ms)", "FCT std (ms)",
          "core utilization (%)", "short flows"])
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    runs = runner.run([
+    runs = (runner or SweepRunner()).run([
         RunSpec.make(run_dynamic, algorithm=algorithm, k=k,
                      link_mbps=link_mbps, duration=duration,
                      warmup=warmup, n_subflows=n_subflows, seed=seed)
@@ -172,8 +169,7 @@ def figure14_table(*, k: int = 4, link_mbps: float = 40.0,
                    duration: float = 10.0, warmup: float = 1.0,
                    n_subflows: int = 8, seed: int = 1,
                    bin_ms: float = 50.0, max_ms: float = 400.0,
-                   jobs: int = 1, cache_dir=None,
-                   shard=None, claim_ttl=None) -> ResultTable:
+                   runner: SweepRunner | None = None) -> ResultTable:
     """Figure 14: distribution of short-flow completion times.
 
     The three runs (LIA, OLIA, TCP) are independent and share their
@@ -183,9 +179,7 @@ def figure14_table(*, k: int = 4, link_mbps: float = 40.0,
         "Fig. 14 - short-flow completion-time distribution (fraction)",
         ["FCT bin (ms)", "LIA", "OLIA", "TCP"])
     algorithms = ("lia", "olia", "tcp")
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, shard=shard,
-                         claim_ttl=claim_ttl)
-    runs = runner.run([
+    runs = (runner or SweepRunner()).run([
         RunSpec.make(run_dynamic, algorithm=algorithm, k=k,
                      link_mbps=link_mbps, duration=duration,
                      warmup=warmup, n_subflows=n_subflows, seed=seed)

@@ -40,7 +40,6 @@ module-level functions.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 from concurrent.futures import (
@@ -117,12 +116,6 @@ ProgressCallback = Callable[[SweepProgress], None]
 def _execute_spec(spec: RunSpec) -> Any:
     """Module-level trampoline so specs can run in worker processes."""
     return spec.execute()
-
-
-def _execute_indexed(item: Tuple[int, RunSpec]) -> Tuple[int, Any]:
-    """Trampoline keeping the point's index attached to its result."""
-    index, spec = item
-    return index, spec.execute()
 
 
 class SweepRunner:
@@ -318,7 +311,7 @@ class SweepRunner:
             order preserved) and must return one result per spec, in
             the same order, each bitwise-identical to what
             ``spec.execute()`` would return so cache entries stay
-            interchangeable with the per-point backends.
+            interchangeable with per-point execution.
         progress : callable, optional
             As in :meth:`run`; computed points tick after the batch
             call returns.
@@ -368,8 +361,7 @@ class SweepRunner:
                                        from_cache=True))
 
         # Claims this runner holds for points whose results are not on
-        # disk yet; the steal paths release any leftovers in a finally,
-        # so an aborted stealer never parks its unfinished points.
+        # disk yet.
         held_claims: set = set()
 
         def finish(index: int, value: Any) -> None:
@@ -405,80 +397,64 @@ class SweepRunner:
 
         queue_pos = 0
 
-        def claim_chunk(limit: int) -> List[int]:
-            """Claim up to ``limit`` still-missing points to compute now.
+        def take(limit: int) -> List[int]:
+            """Take up to ``limit`` still-missing points to compute now.
 
-            Re-checks the cache before claiming (another stealer may
-            have completed — and unclaimed — the point meanwhile) and
-            leaves points whose claim is held elsewhere as PENDING.
+            When stealing, each point is claimed first: the cache is
+            re-checked (another stealer may have completed — and
+            unclaimed — the point meanwhile) and points whose claim is
+            held elsewhere are left as PENDING.
             """
             nonlocal queue_pos
             chunk: List[int] = []
             while queue_pos < len(pending) and len(chunk) < limit:
                 index = pending[queue_pos]
                 queue_pos += 1
-                cached = self._load_cached(specs[index])
-                if cached is not _CACHE_MISS:
-                    serve_cached(index, cached)
-                elif self._try_claim(specs[index]):
-                    self.cache_misses += 1
+                if stealing:
+                    cached = self._load_cached(specs[index])
+                    if cached is not _CACHE_MISS:
+                        serve_cached(index, cached)
+                        continue
+                    if not self._try_claim(specs[index]):
+                        lose(index)
+                        continue
                     held_claims.add(index)
-                    chunk.append(index)
-                else:
-                    lose(index)
+                self.cache_misses += 1
+                chunk.append(index)
             return chunk
 
-        def release_held_claims() -> None:
-            for index in held_claims:
-                self._release_claim(specs[index])
-            held_claims.clear()
-
-        if not pending:
-            return results
-
-        if batch_fn is not None:
-            try:
-                if stealing:
-                    # Deviation from the loop path's claim-as-you-go:
-                    # one vectorized call computes every point at once,
-                    # so the whole batch is claimed together (concurrent
-                    # batch stealers therefore race for the batch, not
-                    # for points).
-                    pending = claim_chunk(len(pending))
-                else:
-                    self.cache_misses += len(pending)
-                if pending:
-                    values = list(batch_fn([specs[i] for i in pending]))
-                    if len(values) != len(pending):
+        executor = None
+        try:
+            if batch_fn is not None:
+                # One vectorized call computes every point at once, so a
+                # stealer claims the whole batch together (concurrent
+                # batch stealers race for the batch, not for points).
+                chunk = take(len(pending))
+                if chunk:
+                    values = list(batch_fn([specs[i] for i in chunk]))
+                    if len(values) != len(chunk):
                         raise ValueError(
                             f"batch_fn returned {len(values)} results "
-                            f"for {len(pending)} pending specs")
-                    for index, value in zip(pending, values):
+                            f"for {len(chunk)} pending specs")
+                    for index, value in zip(chunk, values):
                         finish(index, value)
-            finally:
-                release_held_claims()
-        elif stealing and self.jobs == 1:
-            # Claim-as-you-go: exactly one point is held by this runner
-            # at any moment, so concurrent stealers always find work and
-            # an interrupted run leaves at most one claim stale.
-            try:
+            elif self.jobs == 1 or len(pending) == 1:
+                # Claim-as-you-go: a stealer holds exactly one point at
+                # any moment, so concurrent stealers always find work and
+                # an interrupted run leaves at most one claim stale.
                 while queue_pos < len(pending):
-                    for index in claim_chunk(1):
+                    for index in take(1):
                         finish(index, _execute_spec(specs[index]))
-            finally:
-                release_held_claims()
-        elif stealing:
-            # Rolling claim window over a process pool: a new point is
-            # claimed only as a worker frees up, so at most ``jobs``
-            # claims are held at any moment and no worker idles behind a
-            # chunk barrier waiting for a slow point.
-            executor = None
-            in_flight: Dict[Any, int] = {}
-            try:
+            else:
+                # Rolling window over a process pool: a new point is
+                # taken only as a worker frees up, so at most ``jobs``
+                # claims are held at any moment and no worker idles
+                # behind a chunk barrier waiting for a slow point.
+                in_flight: Dict[Any, int] = {}
                 while True:
                     while len(in_flight) < self.jobs \
                             and queue_pos < len(pending):
-                        for index in claim_chunk(1):
+                        for index in take(1):
                             if executor is None:
                                 executor = ProcessPoolExecutor(self.jobs)
                             future = executor.submit(_execute_spec,
@@ -490,21 +466,12 @@ class SweepRunner:
                         in_flight, return_when=FIRST_COMPLETED)
                     for future in completed:
                         finish(in_flight.pop(future), future.result())
-            finally:
-                release_held_claims()
-                if executor is not None:
-                    executor.shutdown()
-        else:
-            self.cache_misses += len(pending)
-            if self.jobs == 1 or len(pending) == 1:
-                for index in pending:
-                    finish(index, _execute_spec(specs[index]))
-            else:
-                todo = [(index, specs[index]) for index in pending]
-                with multiprocessing.Pool(min(self.jobs, len(todo))) as pool:
-                    for index, value in pool.imap_unordered(
-                            _execute_indexed, todo):
-                        finish(index, value)
+        finally:
+            # An aborted stealer never parks its unfinished points.
+            for index in held_claims:
+                self._release_claim(specs[index])
+            if executor is not None:
+                executor.shutdown()
         return results
 
     def map(self, fn: Callable[..., Any],

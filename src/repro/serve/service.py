@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,6 +41,7 @@ from ..fluid.equilibrium import (
 )
 from ..fluid.loss import PowerLoss, RedLoss, SharpLoss
 from ..fluid.network import FluidNetwork
+from ..util.jsonlines import serve_json_lines
 from .store import MISSING, ResultStore
 
 __all__ = [
@@ -407,30 +407,9 @@ class AllocationService:
 
 
 # -- TCP front-end ---------------------------------------------------------------
-async def _handle_client(service: AllocationService,
-                         reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-    while True:
-        line = await reader.readline()
-        if not line:
-            break
-        try:
-            payload = json.loads(line)
-            if payload.get("op") == "stats":
-                response = {"ok": True, "result": service.stats()}
-            else:
-                query = AllocationQuery.from_dict(payload)
-                response = {"ok": True,
-                            "result": await service.query(query)}
-        except Exception as exc:  # protocol boundary: report, don't die
-            response = {"ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"}
-        writer.write((json.dumps(response) + "\n").encode())
-        try:
-            await writer.drain()
-        except ConnectionError:
-            break
-    writer.close()
+#: Longest request line ``run_server`` reads (bytes).  Queries are small
+#: JSON objects; anything near this is a mistake, answered in-band.
+MAX_LINE_BYTES = 1 << 20
 
 
 async def run_server(host: str = "127.0.0.1", port: int = 8642, *,
@@ -443,7 +422,7 @@ async def run_server(host: str = "127.0.0.1", port: int = 8642, *,
 
     One JSON object per line in (an :meth:`AllocationQuery.from_dict`
     payload, or ``{"op": "stats"}``), one ``{"ok": bool, ...}`` object
-    per line out.
+    per line out (:func:`~repro.util.jsonlines.serve_json_lines`).
     """
     if service is None:
         store = (ResultStore(store_dir)
@@ -451,10 +430,17 @@ async def run_server(host: str = "127.0.0.1", port: int = 8642, *,
         service = AllocationService(
             store, batch_window=batch_window, max_batch=max_batch)
 
-    async def handler(reader, writer):
-        await _handle_client(service, reader, writer)
+    async def dispatch(payload: dict) -> dict:
+        if payload.get("op") == "stats":
+            return {"result": service.stats()}
+        return {"result": await service.query(
+            AllocationQuery.from_dict(payload))}
 
-    server = await asyncio.start_server(handler, host, port)
+    async def handler(reader, writer):
+        await serve_json_lines(reader, writer, dispatch)
+
+    server = await asyncio.start_server(handler, host, port,
+                                        limit=MAX_LINE_BYTES)
     if ready is not None:
         ready.set()
     async with server:

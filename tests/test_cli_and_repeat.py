@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _experiments, build_parser, main
 from repro.experiments import repeat, summarize_samples
+from repro.experiments.sweep import SweepRunner
 
 
 class TestSummarizeSamples:
@@ -96,16 +97,40 @@ class TestCli:
         assert args.experiments == ["all"]
 
     def test_jobs_and_backend_flags_parse(self):
-        args = build_parser().parse_args(
-            ["run", "rtt-sweep", "--jobs", "4", "--backend", "batch"])
+        args = build_parser().parse_args(["run", "rtt-sweep", "--jobs", "4"])
         assert args.jobs == 4
-        assert args.backend == "batch"
+        # The fluid sweeps have one (batched) solve path: no switch.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "x", "--backend", "turbo"])
+            build_parser().parse_args(["run", "x", "--backend", "batch"])
 
     def test_registry_accepts_jobs_and_backend(self):
-        registry = _experiments(fast=True, jobs=2, backend="batch")
+        """Jobs reach the grids inside the runner; there is no backend."""
+        registry = _experiments(fast=True, runner=SweepRunner(jobs=2))
         assert "rtt-sweep" in registry and "stability" in registry
+        with pytest.raises(TypeError):
+            _experiments(fast=True, backend="batch")
+
+    def test_run_and_scale_share_the_sweep_flags(self, tmp_path, capsys):
+        """One parent parser, one validator: the same flags, the same
+        rules (a 1-shard 'split' needs no shared cache) on both verbs."""
+        flags = ["--jobs", "2", "--resume", str(tmp_path), "--shard",
+                 "1/4", "--claim-ttl", "30"]
+        for verb in (["run", "fig4"], ["scale"]):
+            args = build_parser().parse_args([*verb, *flags])
+            assert (args.jobs, args.resume, args.shard, args.claim_ttl) == \
+                (2, str(tmp_path), (1, 4), 30.0)
+        out = str(tmp_path / "s.json")
+        for verb in (["run", "fig4"], ["scale", "--output", out]):
+            assert main([*verb, "--jobs", "0"]) == 2
+            assert "--jobs" in capsys.readouterr().err
+            assert main([*verb, "--shard", "steal"]) == 2
+            assert "--resume" in capsys.readouterr().err
+            assert main([*verb, "--claim-ttl", "0"]) == 2
+            assert "--claim-ttl" in capsys.readouterr().err
+        assert main(["run", "fig4", "--shard", "0/1"]) == 0
+        assert main(["scale", "--preset", "tiny", "--duration", "0.3",
+                     "--warmup", "0.1", "--engine-backends", "heap",
+                     "--shard", "0/1", "--output", out]) == 0
 
     def test_algorithms_verb_prints_layer_table(self, capsys):
         assert main(["algorithms"]) == 0

@@ -21,6 +21,7 @@ from repro.dist import (PROTOCOL_VERSION, CoordinatorThread,
                         JsonLineConnection, ProtocolError, SweepCoordinator,
                         SweepWorker, decode_payload, encode_payload,
                         parse_hostport)
+from repro.dist import coordinator as coordinator_module
 from repro.dist.bench import merge_results
 from repro.experiments.runner import RunSpec
 from repro.experiments.sweep import SweepRunner
@@ -31,6 +32,11 @@ def grid_point(*, value, scale=1.0, seed=None):
     """Cheap deterministic point function (module-level for RunSpec)."""
     return {"value": value, "scale": scale, "seed": seed,
             "result": value * scale + (seed or 0)}
+
+
+def bulky_point(*, size):
+    """A point whose result is ``size`` bytes on the wire (and more)."""
+    return "x" * size
 
 
 def _grid(n=12):
@@ -104,6 +110,26 @@ class TestProtocol:
                 # The connection survives the error (in-band reporting).
                 status = conn.request("status")
                 assert status["total"] == 2
+        finally:
+            thread.stop()
+            thread.result()
+
+
+    def test_over_limit_line_is_in_band_error(self, tmp_path, monkeypatch):
+        """A line over the coordinator's limit is answered, and neither
+        this connection nor the next one pays for it (the parent raised
+        out of the handler: the peer saw EOF and no reply)."""
+        monkeypatch.setattr(coordinator_module, "MAX_LINE_BYTES", 1 << 16,
+                            raising=False)
+        thread = CoordinatorThread(_coordinator(_grid(2), tmp_path))
+        port = thread.start()
+        try:
+            with JsonLineConnection("127.0.0.1", port) as conn:
+                with pytest.raises(ProtocolError, match="line limit"):
+                    conn.request("status", pad="x" * 100_000)
+                assert conn.request("status")["total"] == 2
+            with JsonLineConnection("127.0.0.1", port) as conn:
+                assert conn.request("status")["total"] == 2
         finally:
             thread.stop()
             thread.result()
@@ -397,6 +423,32 @@ class TestCoordinatorValidation:
                 with pytest.raises(ProtocolError, match="unknown worker"):
                     conn.request("lease", worker_id="w999", max_points=1)
         finally:
+            thread.stop()
+            thread.result()
+
+    def test_rejected_result_stops_the_worker(self, tmp_path, monkeypatch):
+        """A result the coordinator refuses (here: over its line limit)
+        ends the worker with that error.  Reconnecting would lease the
+        same point and fail the same way, forever."""
+        monkeypatch.setattr(coordinator_module, "MAX_LINE_BYTES", 1 << 16,
+                            raising=False)
+        specs = [RunSpec.make(bulky_point, size=100_000)]
+        thread = CoordinatorThread(_coordinator(specs, tmp_path))
+        port = thread.start()
+        worker = SweepWorker("127.0.0.1", port, name="bulky",
+                             reconnect_attempts=3, reconnect_delay=0.05)
+        summaries = []
+        runner = threading.Thread(
+            target=lambda: summaries.append(worker.run()), daemon=True)
+        runner.start()
+        runner.join(10)
+        try:
+            assert not runner.is_alive(), "worker keeps re-leasing the point"
+            assert "line limit" in summaries[0].reason
+            assert summaries[0].points == 0
+            assert thread.coordinator.status()["leases_granted"] == 1
+        finally:
+            worker.stop()
             thread.stop()
             thread.result()
 

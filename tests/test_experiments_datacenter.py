@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.experiments import ablation, fattree, shortflows, traces
+from repro.experiments.runner import RunSpec
+from repro.experiments.sweep import SweepRunner
 
 
 class TestFatTreePermutation:
@@ -116,6 +118,16 @@ class TestTraces:
         assert all(all(a == 0 for a in row) for row in trace.alphas)
 
 
+_EPSILON_NETWORK = dict(n1=10, n2=10, c1_mbps=1.0, c2_mbps=1.0, rtt=0.15)
+
+
+def _epsilon_specs(epsilons):
+    """The per-point reference specs of an epsilon sweep."""
+    return [RunSpec.make(ablation.epsilon_sweep_point, epsilon=epsilon,
+                         **_EPSILON_NETWORK)
+            for epsilon in epsilons]
+
+
 class TestAblation:
     def test_epsilon_sweep_monotone_aggression(self):
         """Larger epsilon -> multipath keeps more of the shared AP."""
@@ -127,42 +139,35 @@ class TestAblation:
 
     def test_epsilon_batch_backend_matches_loop_bitwise(self):
         """The whole epsilon grid solved as one per-point-rule batch
-        (plus an OLIA batch for eps=0) must reproduce the sequential
-        rows exactly — same floats, not approximately."""
+        (plus an OLIA batch for eps=0) must reproduce the per-point
+        reference exactly — same floats, not approximately."""
         epsilons = (0.0, 0.5, 1.0, 1.5, 2.0)
-        loop = ablation.epsilon_sweep_table(epsilons=epsilons,
-                                            backend="loop")
         batch = ablation.epsilon_sweep_table(epsilons=epsilons,
-                                             backend="batch")
-        assert [tuple(r) for r in batch.rows] == \
-            [tuple(r) for r in loop.rows]
+                                             **_EPSILON_NETWORK)
+        reference = [spec.execute() for spec in _epsilon_specs(epsilons)]
+        assert [tuple(r) for r in batch.rows] == reference
 
     def test_epsilon_batch_composes_with_shard_and_cache(self, tmp_path):
+        """Sharded batched runs fill the cache under the per-point
+        specs' hashes: a plain runner merges them without computing."""
         epsilons = (0.5, 1.0, 1.5, 2.0)
         for index in range(2):
-            ablation.epsilon_sweep_table(epsilons=epsilons,
-                                         backend="batch",
-                                         cache_dir=tmp_path,
-                                         shard=(index, 2))
-        merged = ablation.epsilon_sweep_table(epsilons=epsilons,
-                                              backend="loop",
-                                              cache_dir=tmp_path)
+            ablation.epsilon_sweep_table(
+                epsilons=epsilons, **_EPSILON_NETWORK,
+                runner=SweepRunner(cache_dir=tmp_path, shard=(index, 2)))
+        merger = SweepRunner(cache_dir=tmp_path)
+        merged = merger.run(_epsilon_specs(epsilons))
+        assert (merger.cache_hits, merger.cache_misses) == (4, 0)
         direct = ablation.epsilon_sweep_table(epsilons=epsilons,
-                                              backend="loop")
-        assert [tuple(r) for r in merged.rows] == \
-            [tuple(r) for r in direct.rows]
-
-    def test_epsilon_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="backend"):
-            ablation.epsilon_sweep_table(backend="gpu")
+                                              **_EPSILON_NETWORK)
+        assert merged == [tuple(r) for r in direct.rows]
 
     def test_epsilon_batch_rejects_negative_like_loop(self):
-        """Backend parity extends to validation: both raise ValueError
-        on a negative epsilon (not a KeyError from the batch grouping)."""
-        for backend in ("loop", "batch"):
-            with pytest.raises(ValueError, match="non-negative"):
-                ablation.epsilon_sweep_table(epsilons=(-1.0, 0.5),
-                                             backend=backend)
+        """A negative epsilon is a ValueError up front (not a KeyError
+        from the batch grouping, not an OLIA row from the point
+        function's ``eps > 0`` test)."""
+        with pytest.raises(ValueError, match="non-negative"):
+            ablation.epsilon_sweep_table(epsilons=(-1.0, 0.5))
 
     def test_flappiness_coupled_worse(self):
         table = ablation.flappiness_table(duration=60.0, seeds=(1, 2, 3))

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.experiments import calibration, rtt_heterogeneity
+from repro.experiments.runner import RunSpec
+from repro.experiments.sweep import SweepRunner
 from repro.sim import (
     BackgroundTraffic,
     DropTailQueue,
@@ -114,6 +116,16 @@ class TestBackgroundTraffic:
         assert run("olia") > run("lia")
 
 
+_RTT_SWEEP = dict(algorithm="olia", base_rtt=0.1, n_tcp=3)
+
+
+def _rtt_specs(ratios):
+    """The per-point reference specs of an RTT sweep."""
+    return [RunSpec.make(rtt_heterogeneity.rtt_sweep_point, ratio=ratio,
+                         **_RTT_SWEEP)
+            for ratio in ratios]
+
+
 class TestRttHeterogeneity:
     def test_best_path_crossover(self):
         table = rtt_heterogeneity.best_path_criterion_table(
@@ -149,32 +161,25 @@ class TestRttHeterogeneity:
 
     def test_batch_backend_matches_loop_bitwise(self):
         ratios = (0.25, 0.5, 1.0, 2.0)
-        loop = rtt_heterogeneity.rtt_sweep_table(
-            algorithm="olia", rtt_ratios=ratios, backend="loop")
         batch = rtt_heterogeneity.rtt_sweep_table(
-            algorithm="olia", rtt_ratios=ratios, backend="batch")
-        assert [tuple(r) for r in batch.rows] == \
-            [tuple(r) for r in loop.rows]
+            rtt_ratios=ratios, **_RTT_SWEEP)
+        reference = [spec.execute() for spec in _rtt_specs(ratios)]
+        assert [tuple(r) for r in batch.rows] == reference
 
     def test_batch_backend_composes_with_shard_and_cache(self, tmp_path):
-        """--backend batch --shard I/N --resume DIR must honour shard
-        ownership and fill the shared cache like the loop backend."""
+        """--shard I/N --resume DIR must honour shard ownership and fill
+        the shared cache under the per-point specs' hashes."""
         ratios = (0.25, 0.5, 1.0, 2.0)
         for index in range(2):
             rtt_heterogeneity.rtt_sweep_table(
-                algorithm="olia", rtt_ratios=ratios, backend="batch",
-                cache_dir=tmp_path, shard=(index, 2))
-        merged = rtt_heterogeneity.rtt_sweep_table(
-            algorithm="olia", rtt_ratios=ratios, backend="loop",
-            cache_dir=tmp_path)
+                rtt_ratios=ratios, **_RTT_SWEEP,
+                runner=SweepRunner(cache_dir=tmp_path, shard=(index, 2)))
+        merger = SweepRunner(cache_dir=tmp_path)
+        merged = merger.run(_rtt_specs(ratios))
+        assert (merger.cache_hits, merger.cache_misses) == (4, 0)
         direct = rtt_heterogeneity.rtt_sweep_table(
-            algorithm="olia", rtt_ratios=ratios, backend="loop")
-        assert [tuple(r) for r in merged.rows] == \
-            [tuple(r) for r in direct.rows]
-
-    def test_batch_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="backend"):
-            rtt_heterogeneity.rtt_sweep_table(backend="gpu")
+            rtt_ratios=ratios, **_RTT_SWEEP)
+        assert merged == [tuple(r) for r in direct.rows]
 
 
 class TestCalibration:

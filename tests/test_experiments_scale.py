@@ -20,6 +20,7 @@ from repro.experiments.scale import (
     scale_report,
     write_report,
 )
+from repro.experiments.sweep import SweepRunner
 
 _SPEC = importlib.util.spec_from_file_location(
     "check_bench",
@@ -118,7 +119,8 @@ class TestScaleReport:
 
     def test_cached_grid_is_served_verbatim(self, tmp_path):
         kwargs = dict(backends=("heap",), duration=0.3, warmup=0.1,
-                      seed=4, smoke=False, cache_dir=tmp_path)
+                      seed=4, smoke=False,
+                      runner=SweepRunner(cache_dir=tmp_path))
         first = scale_report(["tiny"], **kwargs)
         assert list(tmp_path.glob("*.pkl"))
         second = scale_report(["tiny"], **kwargs)
@@ -133,7 +135,7 @@ class TestScaleReport:
     def test_cached_cells_suppress_the_wall_clock_ratio(self, tmp_path):
         kwargs = dict(backends=("wheel", "auto"), duration=0.3,
                       warmup=0.1, seed=5, smoke=False,
-                      cache_dir=tmp_path)
+                      runner=SweepRunner(cache_dir=tmp_path))
         fresh = scale_report(["tiny"], **kwargs)
         assert "auto_vs_wheel" in fresh["presets"]["tiny"]
         cached = scale_report(["tiny"], **kwargs)

@@ -287,3 +287,51 @@ class TestServer:
         assert answer["ok"] and answer["result"] == solve_query(query)
         assert stats["ok"] and stats["result"]["admitted"] == 1
         assert not error["ok"] and "nope" in error["error"]
+
+    def test_over_limit_line_gets_in_band_error(self):
+        """A line over ``MAX_LINE_BYTES`` (1 MiB) is answered in-band and
+        costs neither this connection nor the next one; a line over
+        asyncio's 64 KiB default is just a request.  (The parent raised
+        out of the handler on both: the peer saw EOF and no reply.)"""
+        def stats_line(pad):
+            return (json.dumps({"op": "stats", "pad": "x" * pad})
+                    + "\n").encode()
+
+        async def ask(port, *lines):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            answers = []
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                answers.append(json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=10)))
+            writer.close()
+            return answers
+
+        async def go():
+            import socket
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            service = AllocationService(batch_window=0.001)
+            ready = asyncio.Event()
+            server = asyncio.ensure_future(
+                run_server("127.0.0.1", port, service=service,
+                           ready=ready))
+            await asyncio.wait_for(ready.wait(), timeout=10)
+            try:
+                same = await ask(port, stats_line(70_000),
+                                 stats_line(2 << 20), stats_line(0))
+                fresh = await ask(port, stats_line(0))
+                return same, fresh
+            finally:
+                server.cancel()
+                try:
+                    await server
+                except (asyncio.CancelledError, Exception):
+                    pass
+                service.close()
+
+        (padded, error, after), (fresh,) = _run(go())
+        assert padded["ok"] and after["ok"] and fresh["ok"]
+        assert not error["ok"] and "line limit" in error["error"]
