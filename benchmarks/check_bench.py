@@ -144,6 +144,11 @@ SERVE_SMOKE_FLOORS = {
     "warm_p50_improvement": 10.0,
 }
 
+#: Largest share of cold-phase queries a serve report may carry as
+#: ``converged: false`` (they are served and memoized, so a solver
+#: regression would otherwise hide behind a good qps).
+SERVE_UNCONVERGED_SHARE = 0.01
+
 #: Serve-report ratio metrics compared against a baseline report (when
 #: the workload sizes match): path into the report, human name.
 SERVE_RATIOS = (
@@ -401,6 +406,16 @@ def check_serve_report(report: Dict,
         failures.append(
             f"serve: warm.hit_rate {rate} below 0.99 — the persistent "
             "store is not serving the replayed stream")
+
+    # Reports written before the solver said how it exited lack the key.
+    unconverged = _serve_get(report, ("cold", "unconverged"))
+    queries = _serve_get(report, ("cold", "queries"))
+    if unconverged is not None and _finite(queries) and queries > 0:
+        if not _finite(unconverged) \
+                or unconverged / queries > SERVE_UNCONVERGED_SHARE:
+            failures.append(
+                f"serve: cold.unconverged {unconverged!r} of {queries} "
+                f"queries exceeds {SERVE_UNCONVERGED_SHARE:.0%}")
 
     floors = SERVE_SMOKE_FLOORS if report.get("smoke") else SERVE_FLOORS
     same_size = isinstance(baseline, dict) and all(

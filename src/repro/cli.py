@@ -72,10 +72,6 @@ from .experiments import (
 from .experiments.sweep import SweepRunner
 
 
-def _sim_kwargs(fast: bool, slow: dict, quick: dict) -> dict:
-    return quick if fast else slow
-
-
 #: Experiments that honour ``run --algorithm``, mapped to the
 #: analytical layer each one constructs the algorithm in.  This is the
 #: single source both for applying the override in :func:`_experiments`
@@ -441,6 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None, metavar="SECONDS",
                               help="requeue a worker's leases after this "
                                    "much silence (default: 30)")
+    fabric_serve.add_argument("--expect-workers", type=int, default=None,
+                              metavar="N",
+                              help="workers you are starting: once the "
+                                   "grid is complete, stay up (at most "
+                                   "the heartbeat timeout) until N "
+                                   "distinct workers have been told so, "
+                                   "so a late starter does not find the "
+                                   "port closed (default: wait for open "
+                                   "connections only)")
     fabric_serve.add_argument("--fresh", dest="resume",
                               action="store_false",
                               help="ignore completed points already in "
@@ -528,6 +533,7 @@ def _sweep_fabric(args) -> int:
 
     from .dist import (DEFAULT_PORT, JsonLineConnection, SweepCoordinator,
                        SweepWorker, parse_hostport)
+    from .dist.coordinator import DEFAULT_LINGER
     from .dist import bench as dist_bench
 
     if args.sweep_command == "serve":
@@ -559,9 +565,14 @@ def _sweep_fabric(args) -> int:
             knobs["lease_size"] = args.lease_size
         if args.heartbeat_timeout is not None:
             knobs["heartbeat_timeout"] = args.heartbeat_timeout
+        if args.expect_workers is not None and args.expect_workers < 1:
+            print(f"--expect-workers must be >= 1 (got "
+                  f"{args.expect_workers})", file=sys.stderr)
+            return 2
         coordinator = SweepCoordinator(
             specs, args.cache_dir, resume=args.resume,
-            on_progress=_fabric_progress, **knobs)
+            on_progress=_fabric_progress,
+            expected_workers=args.expect_workers, **knobs)
         port = DEFAULT_PORT if args.port is None else args.port
         print(f"sweep coordinator: {len(specs)} points "
               f"({coordinator.resumed_points} already in "
@@ -569,10 +580,14 @@ def _sweep_fabric(args) -> int:
               f"{port or '<ephemeral>'} (Ctrl-C stops; restarting with "
               "the same --cache-dir resumes)", flush=True)
         try:
+            # Late workers get as long as a silent one would before it
+            # is presumed dead.
             stats = asyncio.run(coordinator.serve(
                 args.host, port,
                 ready=lambda p: print(f"[listening on port {p}]",
-                                      flush=True)))
+                                      flush=True),
+                linger=(DEFAULT_LINGER if args.expect_workers is None
+                        else coordinator.heartbeat_timeout)))
         except KeyboardInterrupt:
             print("\n[coordinator stopped; completed points are in "
                   f"{args.cache_dir}]")

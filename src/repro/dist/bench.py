@@ -87,6 +87,11 @@ SMOKE_SEEDS = 12
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
 
+#: How long a finished coordinator waits for a spawned worker that has not
+#: connected yet (interpreter start-up on a busy host); ``_run_fabric``
+#: cuts it short the moment every worker process has exited.
+WORKER_START_LINGER = 60.0
+
 
 def run_dist_point(*, family: str, scheduler: str, algorithm: str,
                    seed: int, max_flows: int = DIST_MAX_FLOWS,
@@ -172,9 +177,13 @@ def _run_fabric(specs: Sequence[RunSpec], n_workers: int, *,
                 log: Callable[[str], None]) -> Dict[str, Any]:
     """One fabric run on a fresh cache; returns the per-run report row."""
     with tempfile.TemporaryDirectory(prefix="repro-dist-") as cache_dir:
+        # A fast first worker can finish the grid before the last one's
+        # interpreter is up: the coordinator is told how many to expect
+        # and stays until each has heard "done" (or all have exited).
         coordinator = SweepCoordinator(
-            specs, cache_dir, claim_ttl=DEFAULT_CLAIM_TTL, resume=False)
-        thread = CoordinatorThread(coordinator)
+            specs, cache_dir, claim_ttl=DEFAULT_CLAIM_TTL, resume=False,
+            expected_workers=n_workers)
+        thread = CoordinatorThread(coordinator, linger=WORKER_START_LINGER)
         port = thread.start()
         started = time.time()
         procs = [_spawn_worker(port) for _ in range(n_workers)]
@@ -185,6 +194,7 @@ def _run_fabric(specs: Sequence[RunSpec], n_workers: int, *,
                 failures.append(
                     f"worker exited {proc.returncode}: "
                     f"{err.decode(errors='replace')[-500:]}")
+        thread.stop()       # every worker has exited: nobody to wait for
         stats = thread.result()
         wall = time.time() - started
         if failures:

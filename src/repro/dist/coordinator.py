@@ -39,7 +39,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..experiments.runner import RunSpec
 from ..serve.store import MISSING, ResultStore
@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "DEFAULT_LEASE_SIZE",
+    "DEFAULT_LINGER",
     "DEFAULT_PORT",
     "CoordinatorThread",
     "SweepCoordinator",
@@ -79,6 +80,10 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 #: park points forever.  Single-host ``SweepRunner`` keeps its
 #: ``None``-by-default; the CLI surfaces ``--claim-ttl`` everywhere.
 DEFAULT_CLAIM_TTL = 300.0
+
+#: Seconds a finished coordinator stays up so that workers polling for the
+#: ``done`` flag get their answer.
+DEFAULT_LINGER = 3.0
 
 #: Longest request line the coordinator reads (bytes).  A ``result``
 #: line carries one point's whole result as a base64 pickle; a longer
@@ -139,6 +144,14 @@ class SweepCoordinator:
     on_progress : callable, optional
         Called with the :meth:`status` dict roughly once per
         ``progress_interval`` seconds while points complete.
+    expected_workers : int, optional
+        How many workers the caller started.  A worker whose interpreter
+        comes up after the others finished the grid cannot tell
+        "finished before I arrived" from "crashed" if the port is
+        already closed, so with a count the post-completion linger of
+        :meth:`serve` also waits until that many distinct workers have
+        registered and been answered ``done: true``.  ``None`` (the
+        default) waits for open connections only.
     """
 
     def __init__(self, specs: Sequence[RunSpec],
@@ -149,10 +162,13 @@ class SweepCoordinator:
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
                  resume: bool = True,
                  on_progress: Optional[Callable[[dict], None]] = None,
-                 progress_interval: float = 5.0) -> None:
+                 progress_interval: float = 5.0,
+                 expected_workers: Optional[int] = None) -> None:
         self.specs = list(specs)
         if not self.specs:
             raise ValueError("a coordinator needs at least one spec")
+        if expected_workers is not None and expected_workers < 1:
+            raise ValueError("expected_workers must be >= 1 or None")
         if lease_size < 1:
             raise ValueError("lease_size must be >= 1")
         if heartbeat_timeout <= heartbeat_interval:
@@ -167,11 +183,13 @@ class SweepCoordinator:
         self.heartbeat_timeout = heartbeat_timeout
         self.on_progress = on_progress
         self.progress_interval = progress_interval
+        self.expected_workers = expected_workers
 
         self._completed: Set[int] = set()
         self._queue: "deque[int]" = deque()
         self._leases: Dict[str, _Lease] = {}
         self._workers: Dict[str, _WorkerState] = {}
+        self._told_done: Set[str] = set()   # workers answered done: true
         self._ids = itertools.count(1)
         self._done_event: Optional[asyncio.Event] = None
         self._open_connections = 0
@@ -439,6 +457,8 @@ class SweepCoordinator:
             response = handler(payload)
             if op == "register":
                 connection_workers.add(response["worker_id"])
+            elif response.get("done") and "worker_id" in payload:
+                self._told_done.add(payload["worker_id"])
             return response
 
         try:
@@ -476,14 +496,15 @@ class SweepCoordinator:
     async def serve(self, host: str = "127.0.0.1",
                     port: int = DEFAULT_PORT, *,
                     ready: Optional[Callable[[int], None]] = None,
-                    linger: float = 3.0) -> dict:
+                    linger: float = DEFAULT_LINGER) -> dict:
         """Serve the grid until every point is complete; return stats.
 
         ``ready`` is called with the bound port once listening (``port``
         may be 0 for an ephemeral port — tests and the bench use this).
         After the last result lands the coordinator lingers up to
         ``linger`` seconds so workers polling for the ``done`` flag get
-        their answer, then closes.
+        their answer — connected ones, and with ``expected_workers``
+        also the ones still on their way — then closes.
         """
         loop = asyncio.get_running_loop()
         self._done_event = asyncio.Event()
@@ -507,7 +528,9 @@ class SweepCoordinator:
             if self.done:
                 # Grace window: let connected workers observe done=true.
                 deadline = loop.time() + linger
-                while self._open_connections and loop.time() < deadline:
+                while (self._open_connections or self._workers_missing()) \
+                        and loop.time() < deadline \
+                        and not self._stop_event.is_set():
                     await asyncio.sleep(0.05)
         finally:
             reaper.cancel()
@@ -516,6 +539,11 @@ class SweepCoordinator:
         if self.on_progress is not None:
             self.on_progress(self.status())
         return self.stats()
+
+    def _workers_missing(self) -> bool:
+        """Has an expected worker not yet heard that the sweep is over?"""
+        return (self.expected_workers is not None
+                and len(self._told_done) < self.expected_workers)
 
     def request_stop(self) -> None:
         """Thread-safe: make :meth:`serve` return (simulates a kill)."""
@@ -534,10 +562,12 @@ class CoordinatorThread:
     """
 
     def __init__(self, coordinator: SweepCoordinator,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
+                 host: str = "127.0.0.1", port: int = 0, *,
+                 linger: float = DEFAULT_LINGER) -> None:
         self.coordinator = coordinator
         self.host = host
         self.port = port
+        self.linger = linger
         self._stats: Optional[dict] = None
         self._error: Optional[BaseException] = None
         self._thread = None
@@ -554,7 +584,8 @@ class CoordinatorThread:
         def main() -> None:
             try:
                 self._stats = asyncio.run(self.coordinator.serve(
-                    self.host, self.port, ready=note_port))
+                    self.host, self.port, ready=note_port,
+                    linger=self.linger))
             except BaseException as exc:   # surfaced by result()
                 self._error = exc
                 ready.set()

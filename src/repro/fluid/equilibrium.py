@@ -9,19 +9,23 @@ Two complementary tools:
   ``p_r**(-1/epsilon)``) that interpolates between full resource pooling
   (``epsilon -> 0``) and uncoupled TCP-like spreading (``epsilon = 2``).
 
-* a damped *fixed-point solver* that iterates allocation rules against the
-  network's loss models until rates and losses agree — the analytical
-  counterpart of running the testbed to equilibrium.
+* an *equilibrium solver*: every rule is an explicit map from route
+  prices to rates, so an equilibrium is a root of ``F(q) =
+  loss(load(x(q))) - q`` over *link* prices.  :func:`solve_fixed_point_batch`
+  finds it by a damped Newton iteration on ``log q`` and solves best-path
+  ties on the tie manifold — the analytical counterpart of running the
+  testbed to equilibrium.
 
 Batching: every allocation rule works along the **last axis** of its
 arguments, so the same code evaluates one scenario (``(n_routes,)``
 vectors) or K stacked sweep points (``(K, n_routes)`` matrices).
-:func:`solve_fixed_point_batch` exploits this to iterate all K points of
-a parameter sweep in lock-step, freezing each point the moment it
-converges so every row is **bitwise-identical** to what a sequential
-:func:`solve_fixed_point` call on that point alone would return (the
-same contract :class:`~repro.fluid.BatchFluidIntegrator` keeps for the
-time-domain integrator).
+:func:`solve_fixed_point_batch` solves all K points of a parameter sweep
+in lock-step and drops each point from the compute the moment it
+finishes; every operation is row-wise, so every row is
+**bitwise-identical** to what a sequential :func:`solve_fixed_point`
+call on that point alone would return (the same contract
+:class:`~repro.fluid.BatchFluidIntegrator` keeps for the time-domain
+integrator).
 """
 
 from __future__ import annotations
@@ -32,43 +36,8 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from .network import BatchFluidNetwork
-
-_EPS = 1e-15
-
-#: Length (iterations) of the stagnation-detection window in the
-#: fixed-point solvers: every window, a point's best residual must
-#: have improved by at least ``1 - _STALL_FACTOR`` or its step size
-#: drops a ladder level.  Windows shorter than 150 misread bursty
-#: convergers (wVegas near a Wardrop tie improves in plateaus
-#: punctuated by drops) as stagnant and over-anneal them.
-_STALL_WINDOW = 150
-#: Minimum relative improvement per window that counts as progress.  A
-#: genuine converger loses ≥ 2% of its residual every 150 iterations
-#: (that allows >100k-iteration convergence tails); an orbiting point
-#: plateaus and fails the check no matter how small its step size is.
-_STALL_FACTOR = 0.98
-#: Per-level step-size reduction of the annealing ladder.  Halving is
-#: the right pace: quartering overshoots — it skips the band of ``g``
-#: where the post-anneal convergence factor ``|1 - g (1 - s)|`` is
-#: small and lands points in the slow-stable region near the floor.
-_ANNEAL_STEP = 0.5
-#: Largest total step-size reduction annealing may apply: step sizes
-#: anneal from ``damping`` down to ``damping / _MAX_ANNEALING``.
-_MAX_ANNEALING = 1024.0
-#: Consecutive window boundaries a point may spend behind the pace
-#: line (the log-linear trajectory from 1 to ``tol`` over ``max_iter``)
-#: while also improving slower than the on-pace per-window rate before
-#: it is frozen as a budget miss.  Annealing a point resets its strike
-#: count: the new step size gets a fresh chance to restore the pace.
-_PACE_STRIKES = 3
-#: Unit-circle margin of the tie-cycle annealing exemption.  A point
-#: whose window AR(1) step autocorrelation sits in
-#: ``(-_TIE_LAMBDA, 0)`` alternates but contracts on average — the
-#: signature of a best-set tie cycle collapsing at fixed step size —
-#: and is spared annealing and pace strikes.  Saturated period-2
-#: orbits (the case annealing exists for) repeat exactly, so their
-#: estimate hugs -1 and stays outside the exemption band.
-_TIE_LAMBDA = 0.97
+from .pricemap import _EPS, PriceMap, TieMap, rel_change
+from .pricemap import tcp_rates as _tcp_rates
 
 
 def tcp_rate(p, rtt):
@@ -112,13 +81,6 @@ def best_path_rate(p, rtt):
     if np.ndim(rates) == 0:
         return float(rates)
     return rates
-
-
-def _tcp_rates(p, rtt) -> np.ndarray:
-    """Per-path TCP rates with the loss floor applied (vectorized)."""
-    p = np.maximum(np.asarray(p, dtype=float), _EPS)
-    rtt = np.asarray(rtt, dtype=float)
-    return np.sqrt(2.0 / p) / rtt
 
 
 def lia_allocation(p, rtt) -> np.ndarray:
@@ -223,7 +185,10 @@ def epsilon_family_allocation(p, rtt, epsilon) -> np.ndarray:
             "per-point epsilon arrays must be strictly positive "
             "(route epsilon=0 points through the OLIA rule instead)")
     total = np.max(np.sqrt(2.0 / p) / rtt, axis=-1, keepdims=True)
-    weights = p ** (-1.0 / epsilon)
+    # exp/log, not ``p ** (-1/epsilon)``: numpy's power takes shortcuts
+    # (reciprocal, square root) that depend on whether the exponent is a
+    # scalar or a per-point array, which breaks row == scalar-call bits.
+    weights = np.exp(np.log(p) * (-1.0 / epsilon))
     return total * weights / np.sum(weights, axis=-1, keepdims=True)
 
 
@@ -266,30 +231,42 @@ class PerPointRuleSet:
     """
 
     def __init__(self, rules) -> None:
-        self.rules = list(rules)
-        if not self.rules:
+        rules = list(rules)
+        if not rules:
             raise ValueError("PerPointRuleSet needs at least one rule")
+        distinct: dict = {}
+        labels = [distinct.setdefault(id(rule), (len(distinct), rule))[0]
+                  for rule in rules]
+        self._bind([rule for _, rule in distinct.values()],
+                   np.asarray(labels, dtype=np.intp))
+
+    def _bind(self, rules, labels: np.ndarray) -> None:
+        """``labels[k]`` names the entry of ``rules`` that row k uses; the
+        row groups are built here, once, not in every call."""
+        self._rules, self._labels = rules, labels
+        self._groups = [(rule, rows) for rule, rows in
+                        ((rule, np.flatnonzero(labels == g))
+                         for g, rule in enumerate(rules)) if len(rows)]
 
     def __call__(self, p, rtt) -> np.ndarray:
         p = np.atleast_2d(np.asarray(p, dtype=float))
         rtt = np.atleast_2d(np.asarray(rtt, dtype=float))
-        if p.shape[0] != len(self.rules):
+        if p.shape[0] != len(self._labels):
             raise ValueError(
                 f"batch has {p.shape[0]} points but rule set has "
-                f"{len(self.rules)} rules")
+                f"{len(self._labels)} rules")
+        if len(self._groups) == 1:     # homogeneous batch: no gather
+            return np.asarray(self._groups[0][0](p, rtt), dtype=float)
         out = np.empty_like(p)
-        groups: dict = {}
-        for k, rule in enumerate(self.rules):
-            groups.setdefault(id(rule), (rule, []))[1].append(k)
-        for rule, rows in groups.values():
-            idx = np.asarray(rows, dtype=np.intp)
-            out[idx] = np.asarray(rule(p[idx], rtt[idx]), dtype=float)
+        for rule, rows in self._groups:
+            out[rows] = np.asarray(rule(p[rows], rtt[rows]), dtype=float)
         return out
 
     def take_points(self, points) -> "PerPointRuleSet":
         """The same rule set restricted to a subset of batch points."""
-        index = np.arange(len(self.rules))[points]
-        return PerPointRuleSet([self.rules[k] for k in np.atleast_1d(index)])
+        subset = object.__new__(PerPointRuleSet)
+        subset._bind(self._rules, np.atleast_1d(self._labels[points]))
+        return subset
 
 
 def tcp_allocation(p, rtt) -> np.ndarray:
@@ -360,7 +337,16 @@ def allocation_rule(name: str, **kwargs) -> AllocationRule:
 
 @dataclass
 class FixedPointResult:
-    """Outcome of the damped fixed-point iteration (one sweep point)."""
+    """Outcome of the equilibrium solve (one sweep point).
+
+    ``iterations`` counts the map evaluations spent on the point,
+    ``residual`` is the one-step residual of the rate map at ``rates``
+    (``max|T(x) - x| / max|T(x)|`` with ``T`` one undamped application of
+    rules and loss models) — except for ``exit_reason == "tie"``, where
+    it is the larger of the link-equation and price-equality residuals —
+    and ``exit_reason`` says how the point left the solver (see
+    :func:`solve_fixed_point_batch`).
+    """
 
     rates: np.ndarray
     route_loss: np.ndarray
@@ -368,6 +354,7 @@ class FixedPointResult:
     iterations: int
     converged: bool
     residual: float
+    exit_reason: str = "newton"
 
     def user_totals(self, network) -> np.ndarray:
         return network.user_totals(self.rates)
@@ -382,12 +369,13 @@ class BatchFixedPointResult:
     """
 
     batch_network: BatchFluidNetwork
-    rates: np.ndarray       # (K, n_routes)
-    route_loss: np.ndarray  # (K, n_routes)
-    link_loss: np.ndarray   # (K, n_links)
-    iterations: np.ndarray  # (K,) int
-    converged: np.ndarray   # (K,) bool
-    residual: np.ndarray    # (K,)
+    rates: np.ndarray        # (K, n_routes)
+    route_loss: np.ndarray   # (K, n_routes)
+    link_loss: np.ndarray    # (K, n_links)
+    iterations: np.ndarray   # (K,) int
+    converged: np.ndarray    # (K,) bool
+    residual: np.ndarray     # (K,)
+    exit_reason: np.ndarray  # (K,) str
 
     @property
     def n_points(self) -> int:
@@ -400,7 +388,8 @@ class BatchFixedPointResult:
             link_loss=self.link_loss[point],
             iterations=int(self.iterations[point]),
             converged=bool(self.converged[point]),
-            residual=float(self.residual[point]))
+            residual=float(self.residual[point]),
+            exit_reason=str(self.exit_reason[point]))
 
     def results(self) -> List[FixedPointResult]:
         """All K per-point results."""
@@ -426,8 +415,219 @@ def _resolve_rules(n_users: int, rules) -> List[AllocationRule]:
         rule = rules[user]
         if isinstance(rule, (str, AlgorithmSpec)):
             rule = make_allocation_rule(rule)
+        elif isinstance(rule, PerPointRuleSet) and len(rule._groups) == 1:
+            rule = rule._groups[0][0]    # one rule for every point
         per_user.append(rule)
     return per_user
+
+
+#: Link price every carried link starts from when no ``x0`` is given.
+_START_PRICE = 0.01
+#: Forward-difference step of the Jacobian, in log-price units.
+_FD_STEP = 1e-6
+#: Halvings a Newton step may try before its line search has failed.
+_BACKTRACKS = 6
+#: Map evaluations any one point may spend, whatever ``max_iter`` says.
+_EVAL_BUDGET = 300
+#: Plain damped steps that may bridge failed line searches of one point.
+_FALLBACK_STEPS = 60
+#: Newton steps in a row whose full step is rejected before the point is
+#: tried as a tie.
+_TIE_STRADDLES = 2
+#: Longest move of any log price in one step (a factor e**2): in the flat
+#: stretches of a loss curve (saturated, or clamped at zero) the Newton
+#: step is the whole distance to the other extreme.
+_MAX_STEP = 2.0
+_LOG_EPS = float(np.log(_EPS))
+_DONE, _STALLED, _BUDGET, _TIE = range(4)
+_REASONS = np.array(["newton", "stalled", "budget", "tie"], dtype=object)
+
+
+class _Run:
+    """Where each row of one :func:`_newton` call ended up."""
+
+    def __init__(self, z: np.ndarray, evals: np.ndarray) -> None:
+        self.z, self.evals, self.x = z.copy(), evals.copy(), None
+        self.residual = np.full(len(z), np.inf)
+        self.code = np.full(len(z), _BUDGET)
+        self.plain = np.zeros(len(z), dtype=int)
+
+
+def _solve_rows(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row-wise ``J d = rhs``; a singular row gets a NaN step (and so
+    fails its line search) instead of failing its neighbours."""
+    try:
+        return np.linalg.solve(jacobian, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            try:
+                steps[k] = np.linalg.solve(jacobian[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _newton(fmap, z, evals, budget: int, tol: float,
+            damping: "float | None" = None) -> _Run:
+    """Batched damped Newton on ``fmap(z) -> (F, x)``.
+
+    Forward-difference Jacobian (one evaluation per unknown), per-row
+    backtracking on ``max|F|``; rows leave the compute the moment they
+    finish and every operation is row-wise, so a row's numbers do not
+    depend on its neighbours.  A row is ``_BUDGET`` when its next step
+    could overrun ``budget`` evaluations.  Without ``damping`` (the tie
+    solve) it is ``_DONE`` when ``max|F| < tol`` and ``_STALLED`` when
+    a line search fails.
+
+    With ``damping`` (the price map) ``_DONE`` also requires the rates
+    ``x`` to reproduce themselves through one more evaluation to within
+    ``tol``; that evaluation, at ``z + F``, is the row's next iterate
+    when they do not.  The plain damped step ``z <- z + damping * F`` is
+    the warm start (one step: it takes a symmetric start off the kinks
+    of min/max rules) and the fallback: a row whose search finds no step
+    length down to ``2**-_BACKTRACKS`` that reduces ``max|F|`` takes one
+    and tries again, ``_FALLBACK_STEPS`` times before it is
+    ``_STALLED``.  A search that fails, or rejects its full step
+    ``_TIE_STRADDLES`` Newton steps running, across a best-set jump is a
+    tie: the row is re-solved on the tie manifold (:class:`TieMap`,
+    from its current prices and an even split) and is ``_TIE`` when that
+    converges with the split inside ``[0, 1]``; when it does not, the
+    row carries on here and is not tried again.
+    """
+    main = damping is not None
+    run = _Run(z, evals)
+    n = z.shape[1]
+    prices = slice(0, n if main else n - 1)     # a split is not clipped
+    rows = np.arange(len(z))
+    z, evals = z.copy(), evals + 1
+    residual, x = fmap(z)
+    run.x = np.zeros_like(x)
+    norm = np.max(np.abs(residual), axis=1)
+    plain, straddles, exempt = (
+        np.zeros(len(z), dtype=kind) for kind in (int, int, bool))
+
+    def retire(mask, code, measured) -> None:
+        """Record the rows in ``mask`` as finished and drop them."""
+        nonlocal rows, z, residual, x, evals, norm, plain, straddles, \
+            exempt, fmap
+        if not mask.any():
+            return
+        slots = rows[mask]
+        run.z[slots], run.x[slots] = z[mask], x[mask]
+        run.evals[slots], run.code[slots] = evals[mask], code
+        run.residual[slots], run.plain[slots] = measured[mask], plain[mask]
+        keep = ~mask
+        rows, z, residual, x, evals, norm, plain, straddles, exempt = (
+            a[keep] for a in (rows, z, residual, x, evals, norm, plain,
+                              straddles, exempt))
+        if keep.any():
+            fmap = fmap.take(keep)
+
+    def probe(mask, target):
+        """One evaluation of the rows in ``mask`` at ``target``, clipped
+        to valid prices: ``(target, F, x, max|F|)``."""
+        target[:, prices] = np.clip(target[:, prices], _LOG_EPS, 0.0)
+        res, rates = (fmap if mask.all() else fmap.take(mask))(target)
+        evals[mask] += 1
+        return target, res, rates, np.max(np.abs(res), axis=1)
+
+    def plain_step(mask) -> None:
+        z[mask], residual[mask], x[mask], norm[mask] = probe(
+            mask, z[mask] + np.clip(damping * residual[mask],
+                                    -_MAX_STEP, _MAX_STEP))
+
+    def settle(index, reject) -> np.ndarray:
+        """Solve on the tie manifold those rows of ``index`` whose failed
+        search towards ``reject`` straddles a best-set jump; ``True``
+        for the rows this settled (their ``x`` and ``norm`` updated)."""
+        settled = np.zeros(len(z), dtype=bool)
+        index = index[~exempt[index]]
+        if not len(index):
+            return settled
+        sub = fmap.take(index)
+        groups: dict = {}
+        for k, tie in enumerate(
+                sub.tie_candidates(z[index], reject[index])):
+            if tie is not None:
+                groups.setdefault(tie, []).append(k)
+        for (slot, a, b), members in groups.items():
+            at = index[members]
+            tie = _newton(
+                TieMap(sub.take(members), slot, a, b),
+                np.column_stack([z[at], np.full(len(at), 0.5)]), evals[at],
+                budget - _BACKTRACKS - 1, tol)
+            split = tie.z[:, -1]
+            solved = (tie.code == _DONE) & (split >= 0.0) & (split <= 1.0)
+            evals[at], exempt[at] = tie.evals, ~solved
+            won = at[solved]
+            x[won], norm[won], settled[won] = (
+                tie.x[solved], tie.residual[solved], True)
+        return settled
+
+    if main and budget > 1:
+        plain_step(np.ones(len(z), dtype=bool))
+    while True:
+        measured, done = norm, norm < tol
+        if main and done.any():
+            # One undamped step of the rate map from x: its image is the
+            # verdict, and the row's next iterate when the verdict is no.
+            z_next, res_next, x_next, norm_next = probe(
+                done, z[done] + residual[done])
+            measured = norm.copy()
+            measured[done] = rel_change(x_next, x[done])
+            failed = done & ~(measured < tol)
+            pick = failed[done]
+            z[failed], residual[failed] = z_next[pick], res_next[pick]
+            x[failed], norm[failed] = x_next[pick], norm_next[pick]
+            done = done & ~failed
+        retire(done, _DONE, measured)
+        retire(evals + n + _BACKTRACKS + 2 > budget, _BUDGET, norm)
+        if not len(rows):
+            return run
+        jacobian = np.empty((len(z), n, n))
+        for j in range(n):
+            bumped = z.copy()
+            bumped[:, j] += _FD_STEP
+            jacobian[:, :, j] = (fmap(bumped)[0] - residual) / _FD_STEP
+        evals += n
+        step = _solve_rows(jacobian, -residual)
+        step *= np.minimum(
+            1.0, _MAX_STEP / np.max(np.abs(step), axis=1))[:, None]
+        pending = np.ones(len(z), dtype=bool)
+        tied = np.zeros(len(z), dtype=bool)
+        reject = z.copy()
+        length = 1.0
+        for attempt in range(_BACKTRACKS + 1):
+            trial, res_trial, x_trial, norm_trial = probe(
+                pending, z[pending] + length * step[pending])
+            better = norm_trial < (1.0 - 1e-4 * length) * norm[pending]
+            index = np.flatnonzero(pending)
+            took, missed = index[better], index[~better]
+            z[took], residual[took] = trial[better], res_trial[better]
+            x[took], norm[took] = x_trial[better], norm_trial[better]
+            reject[missed] = trial[~better]
+            pending[took] = False
+            if main and attempt == 0:
+                straddles = np.where(pending, straddles + 1, 0)
+                tied = settle(
+                    np.flatnonzero(straddles >= _TIE_STRADDLES), reject)
+                pending &= ~tied
+            if not pending.any():
+                break
+            length *= 0.5
+        if main:
+            tied |= settle(np.flatnonzero(pending), reject)
+            pending &= ~tied
+            escape = pending & (plain < _FALLBACK_STEPS)
+            if escape.any():
+                plain_step(escape)
+                plain[escape] += 1
+            pending &= ~escape
+        retire(tied, _TIE, norm)
+        retire(pending[~tied], _STALLED, norm)
+        if not len(rows):
+            return run
 
 
 def solve_fixed_point_batch(networks, rules, *,
@@ -437,93 +637,44 @@ def solve_fixed_point_batch(networks, rules, *,
                             max_iter: int = 20000,
                             x0: np.ndarray | None = None
                             ) -> BatchFixedPointResult:
-    """Damped fixed-point iteration over K stacked sweep points.
+    """Equilibria of K stacked sweep points: Newton in link-price space.
 
-    Iterates ``x <- (1-g) x + g f(p(x))`` on a ``(K, n_routes)`` state
-    matrix until every point's relative residual drops below ``tol``.
-    Each point is *frozen* at the iteration where it first converges —
-    its recorded rates, iteration count and residual are exactly what a
-    sequential :func:`solve_fixed_point` call on that point alone
-    returns, bit for bit, because every operation is row-wise along the
-    last axis and the points are independent.
+    Every allocation rule is an explicit map from route prices to rates,
+    so an equilibrium is a root of ``F(u) = log loss(load(x(e^u))) - u``
+    over the ``n_links`` log link prices ``u`` (:class:`PriceMap`; the
+    probing floor is inside ``x``).  All K points take damped Newton
+    steps on ``F`` in lock-step (:func:`_newton`: finite-difference
+    Jacobian, ``n_links + 1`` map evaluations per step, per-row
+    backtracking).  A point leaves the compute when it finishes and
+    every operation is row-wise, so its rates, evaluation count and
+    residual are exactly what :func:`solve_fixed_point` on it alone
+    returns, bit for bit.
 
-    Frozen points also leave the *compute*: the iteration state is
-    compacted to the still-active rows whenever points converge, so on
-    heterogeneous grids (a few slow points, many fast ones) the per
-    iteration cost shrinks with the active set instead of staying K-wide
-    until the slowest point finishes.  Row-wise bitwise equality makes
-    the compaction invisible in the results.
+    Convergence is declared on the rate map ``T(x) = max(rule(loss(
+    load(x))), floor)``, never on a rescaled step: a converged point has
+    ``max|F| < tol`` *and* ``max|T(x) - x| / max|T(x)| < tol`` at its
+    rates ``x``; the latter is its ``residual``.
 
-    Tie-aware stopping: allocation rules with a best-path *tie* (OLIA,
-    BALIA — their tied-best sets flip membership between iterations)
-    can settle into an exact period-2 cycle whose step residual never
-    drops below ``tol`` even though the iterate has stopped moving as a
-    cycle (``|x_t - x_{t-2}|`` at machine epsilon).  Such points used
-    to burn the whole ``max_iter`` budget and come back
-    ``converged=False``; the solver now also checks the period-2
-    residual and freezes a point the moment either residual passes
-    ``tol``.  A cycle-stopped point records one cycle phase as its
-    rates (the two phases differ only in how the tie splits traffic
-    across tied-best paths) and the cycle residual as ``residual``.
+    Best-path ties: OLIA, fully coupled, ``epsilon = 0`` and BALIA pick
+    their best path by TCP rate, so their rule *jumps* where two routes
+    tie, and an equilibrium that needs both routes (Theorem 1: any split
+    among tied best paths) is a root of no single-valued ``F``.  A point
+    whose line search keeps failing across such a jump is re-solved on
+    the tie manifold (:class:`TieMap`): the split joins the unknowns
+    and price equality the equations, which makes the system smooth
+    again; its ``residual`` is the larger of the link-equation and
+    price-equality residuals.  BALIA's closed form is itself
+    discontinuous at a tie (its true rest points there form a hysteresis
+    band); its tie answer is the point of the convex hull of the two
+    one-sided values at exact price equality.
 
-    Stagnation-triggered annealing: a fixed step size ``g`` only
-    stabilises map slopes above ``1 - 2/g``; steeper rules (wVegas'
-    ``alpha/p`` response on a sharp link, OLIA's best-set flips on
-    asymmetric topologies) orbit in period-4 or aperiodic cycles that
-    neither residual catches.  Each point therefore carries its *own*
-    step size: when a point's best residual improves by less than
-    ``1 - _STALL_FACTOR`` across a ``_STALL_WINDOW``-iteration window
-    its step size halves (down to ``damping / _MAX_ANNEALING``), which
-    walks it into its stability region.  Residuals are rescaled by
-    ``damping / g_point`` so a smaller step cannot fake convergence —
-    the recorded residual always measures the mismatch a
-    nominal-damping step would show.  Annealing decisions depend only
-    on the point's own history, so batch and sequential runs stay
-    bitwise-equal; a point that never stalls rescales by exactly
-    ``1.0`` and is bitwise-identical to the fixed-damping iteration.
-
-    Tie-cycle annealing exemption: a best-set tie cycle is the one
-    orbit annealing can never settle — its amplitude is proportional
-    to ``g`` while the residual rescale is ``damping / g``, so the
-    two cancel and the rescaled residual plateaus down the whole
-    ladder (such points used to walk to the floor and freeze
-    ``converged=False``).  Left at fixed ``g`` the cycle *does*
-    collapse on its own: the orbit wanders along the tie manifold
-    (residual flat for hundreds of iterations), then the flip pattern
-    locks and contracts geometrically through the period-2 test.  The
-    wander phase defeats any improvement-rate test, but the window
-    AR(1) step statistics separate the two regimes that matter: a tie
-    cycle alternates with an *estimated contraction strictly inside
-    the unit circle* (``-_TIE_LAMBDA < lambda < 0`` — contracting on
-    average, just not monotonically), while the saturated period-2
-    orbits annealing exists for (e.g. wVegas' ``alpha/p`` response
-    past its stability bound) repeat exactly, ``lambda ~ -1``.  A
-    point in the first regime keeps its step size — no anneal, no
-    pace strike — and is left to the period-2 residual test.  The
-    test reads only the point's own window history, so it preserves
-    row-wise batch/sequential bitwise equality.
-
-    A point that is *still* stalled at the annealing floor sits on a
-    rule discontinuity no step size can settle through (its
-    equilibrium is a sliding point of the hard best-set map); it
-    freezes early as ``converged=False`` with the stuck residual on
-    record instead of burning the rest of ``max_iter``.
-
-    Budget-miss freezing: a point improving steadily but too slowly —
-    behind the log-linear pace line from 1 to ``tol`` over
-    ``max_iter`` *and* improving slower than the on-pace per-window
-    rate for ``_PACE_STRIKES`` consecutive windows — cannot reach
-    ``tol`` within the budget at its demonstrated rate.  It freezes
-    early with the same ``converged=False`` outcome that exhausting
-    ``max_iter`` would record, at a fraction of the cost.  A point on
-    pace, or catching up, never collects a strike; an anneal resets
-    the count so a just-stabilised orbit can show its true
-    (post-anneal) convergence rate first.
-
-    A user rule may carry *per-point* parameters (e.g.
-    :class:`PerPointEpsilonRule`); such rules expose
-    ``take_points(points)`` returning the rule restricted to a subset of
-    batch points, which the solver calls as the active set shrinks.
+    ``exit_reason`` per point: ``"newton"``; ``"tie"``; ``"fallback"``
+    (converged, but a failed line search was bridged by plain damped
+    steps ``u <- u + damping * F`` — the step that is also every point's
+    warm start); ``"stalled"`` (no descent, no tie, no plain steps left)
+    and ``"budget"`` (the next step could exceed ``min(max_iter,
+    _EVAL_BUDGET)`` map evaluations), both ``converged=False`` with the
+    honest one-step residual on record.
 
     Parameters
     ----------
@@ -532,19 +683,21 @@ def solve_fixed_point_batch(networks, rules, *,
         RTTs and loss parameters may differ per point).
     rules : str, callable or mapping
         A single rule/name shared by every user, or a mapping
-        ``user -> rule/name``; shared across all K points.
+        ``user -> rule/name``; shared across all K points.  A rule with
+        per-point parameters (:class:`PerPointEpsilonRule`,
+        :class:`PerPointRuleSet`) exposes ``take_points(points)``, which
+        the solver calls as the active set shrinks.
     floor_packets : float
-        Probing floor in packets per RTT, applied after each step.
+        Probing floor in packets per RTT, part of the rate map.
     damping : float
-        Step size ``g`` of the damped iteration.
+        Step size of the plain damped step (warm start and fallback).
     tol : float
-        Relative convergence tolerance on the rate update.
+        Tolerance on ``max|F|`` and on the one-step residual.
     max_iter : int
-        Iteration budget; points still moving at the end are flagged
-        ``converged=False``.
+        Budget of map evaluations per point, capped at ``_EVAL_BUDGET``.
     x0 : ndarray, optional
-        Start state of shape ``(K, n_routes)``; defaults to one packet
-        per RTT on every route.
+        Start rates, shape ``(K, n_routes)``: the solve starts from the
+        link prices they induce (default: ``_START_PRICE`` everywhere).
 
     Returns
     -------
@@ -553,242 +706,42 @@ def solve_fixed_point_batch(networks, rules, *,
     """
     net = (networks if isinstance(networks, BatchFluidNetwork)
            else BatchFluidNetwork(networks))
-    per_user = _resolve_rules(net.n_users, rules)
-    user_routes = [np.asarray(r, dtype=int) for r in net.routes_of_user]
-
     rtts = net.rtts  # (K, n_routes)
     floor = (floor_packets / rtts if floor_packets > 0
              else np.zeros_like(rtts))
+    fmap = PriceMap(net, _resolve_rules(net.n_users, rules), floor)
+    n_points = rtts.shape[0]
     if x0 is None:
-        x = np.maximum(1.0 / rtts, floor)
+        u = np.full((n_points, net.n_links), np.log(_START_PRICE))
     else:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != rtts.shape:
             raise ValueError(
                 f"x0 must have shape {rtts.shape}, got {x0.shape}")
-        x = np.maximum(x0, floor)
+        u = np.log(fmap.prices(np.maximum(x0, floor)))
+    budget = max(1, min(int(max_iter), _EVAL_BUDGET))
 
-    n_points = rtts.shape[0]
-    final_x = x.copy()
-    iterations = np.full(n_points, max_iter, dtype=int)
-    converged = np.zeros(n_points, dtype=bool)
-    final_residual = np.full(n_points, np.inf)
-
-    # Compacted iteration state: only the still-active rows.  ``active``
-    # maps each compact row back to its batch point, which is also what
-    # per-point loss parameters and rules are indexed by.
-    active = np.arange(n_points)
-    rtts_act = rtts
-    floor_act = floor
-    rules_act = per_user
-    residual = np.full(n_points, np.inf)
-    # x two iterations ago, for the period-2 (tie-cycle) residual.  At
-    # iteration 1 it equals x0, making the cycle residual coincide with
-    # the step residual — the check only diverges once a cycle exists.
-    x_prev2 = x
-    # Per-point annealing state: current step size, best residual so
-    # far, the best at the last window boundary, iterations into the
-    # current window.
-    g_act = np.full(len(active), damping)
-    g_min = damping / _MAX_ANNEALING
-    best_resid = np.full(len(active), np.inf)
-    best_checkpoint = np.full(len(active), np.inf)
-    window = np.zeros(len(active), dtype=int)
-    # Consecutive window boundaries spent behind the pace line while
-    # improving slower than the on-pace rate (see _PACE_STRIKES).
-    strikes = np.zeros(len(active), dtype=int)
-    # Per-window AR(1) statistics of the step sequence, for the Aitken
-    # jump: lam_num/lam_den is the least-squares estimate of the
-    # contraction factor ``lambda`` in ``delta_{t+1} = lambda delta_t``
-    # and lam_num**2 / (lam_den * lam_sq) its squared correlation.
-    lam_num = np.zeros(len(active))
-    lam_den = np.zeros(len(active))
-    lam_sq = np.zeros(len(active))
-    # The on-pace per-window residual decay: a constant-rate converger
-    # that finishes exactly at ``max_iter`` loses this factor every
-    # window.  Points improving faster are catching up and collect no
-    # strike even when currently behind the pace line.
-    catchup = tol ** (_STALL_WINDOW / max_iter)
-
-    for iteration in range(1, max_iter + 1):
-        points = None if len(active) == n_points else active
-        p_routes = net.route_loss_probs(x, points)
-        target = np.zeros_like(x)
-        for user, rule in enumerate(rules_act):
-            idx = user_routes[user]
-            if len(idx) == 0:   # routeless users contribute nothing
-                continue
-            target[..., idx] = rule(p_routes[..., idx],
-                                    rtts_act[..., idx])
-        target = np.maximum(target, floor_act)
-        g_col = g_act[:, None]
-        new_x = (1.0 - g_col) * x + g_col * target
-        scale = np.maximum(np.max(np.abs(new_x), axis=-1), 1e-9)
-        # Rescaled to the nominal step so annealing (smaller steps)
-        # cannot shrink the residual without the iterate settling.
-        rescale = damping / g_act
-        residual = np.max(np.abs(new_x - x), axis=-1) / scale * rescale
-        cycle_residual = (np.max(np.abs(new_x - x_prev2), axis=-1)
-                          / scale * rescale)
-        delta1 = new_x - x
-        delta0 = x - x_prev2
-        lam_num += np.sum(delta1 * delta0, axis=-1)
-        lam_den += np.sum(delta0 * delta0, axis=-1)
-        lam_sq += np.sum(delta1 * delta1, axis=-1)
-        x_prev2 = x
-        x = new_x
-        # A point is done when the step residual converges (the regular
-        # fixed point) or the period-2 residual does (a best-path tie
-        # flip-flopping between two equivalent allocations).
-        residual = np.minimum(residual, cycle_residual)
-        newly = residual < tol
-        if newly.any():
-            done = active[newly]
-            final_x[done] = new_x[newly]
-            iterations[done] = iteration
-            converged[done] = True
-            final_residual[done] = residual[newly]
-            keep = ~newly
-            active = active[keep]
-            if len(active) == 0:
-                break
-            # Shrink the compute to the surviving rows (bitwise no-op
-            # for them: every operation above is row-wise).
-            x = x[keep]
-            x_prev2 = x_prev2[keep]
-            rtts_act = rtts_act[keep]
-            floor_act = floor_act[keep]
-            residual = residual[keep]
-            g_act = g_act[keep]
-            best_resid = best_resid[keep]
-            best_checkpoint = best_checkpoint[keep]
-            window = window[keep]
-            strikes = strikes[keep]
-            lam_num = lam_num[keep]
-            lam_den = lam_den[keep]
-            lam_sq = lam_sq[keep]
-            rules_act = [rule.take_points(active)
-                         if hasattr(rule, "take_points") else rule
-                         for rule in per_user]
-        # Anneal stalled points: a window with less than 2% improvement
-        # of the best residual means this step size orbits instead of
-        # converging — halve it.  (Counting *relative* progress per
-        # fixed window, rather than iterations since the last strict
-        # improvement, keeps the anneal cadence constant: a shrinking
-        # orbit improves a little every step, but ever more slowly.)
-        best_resid = np.minimum(best_resid, residual)
-        window += 1
-        at_window = window >= _STALL_WINDOW
-        if at_window.any():
-            # Tie-cycle exemption: an alternating orbit whose window
-            # AR(1) contraction estimate is strictly inside the unit
-            # circle (-_TIE_LAMBDA < lambda < 0) is a best-set tie
-            # cycle contracting on average — annealing it is
-            # counterproductive (amplitude ∝ g cancels against the
-            # damping/g rescale), so it is spared the anneal and the
-            # pace strike and left to the period-2 residual test.
-            # The saturated orbits annealing exists for repeat
-            # exactly (lambda ~ -1) and are not exempt.
-            tie_wait = (at_window & (lam_num < 0.0)
-                        & (lam_num > -_TIE_LAMBDA * lam_den))
-            stalled = (at_window & ~tie_wait
-                       & (best_resid > _STALL_FACTOR * best_checkpoint))
-            anneal = stalled & (g_act > g_min)
-            g_act = np.where(anneal, _ANNEAL_STEP * g_act, g_act)
-            # Pace strikes: a point behind the log-linear pace line to
-            # ``tol`` that is also improving slower than the on-pace
-            # per-window rate cannot finish within ``max_iter`` at its
-            # demonstrated rate.  Three consecutive such windows and
-            # it is frozen as a budget miss — same ``converged=False``
-            # outcome that burning the remaining budget would record,
-            # at a fraction of the cost.  An anneal resets the count:
-            # the new step size gets a fresh chance (a just-stabilised
-            # orbit converges far faster than its plateau suggested).
-            pace = tol ** (iteration / max_iter)
-            pace_fail = (at_window & ~tie_wait
-                         & (best_resid > pace)
-                         & (best_resid > catchup * best_checkpoint))
-            strikes = np.where(at_window,
-                               np.where(pace_fail, strikes + 1, 0),
-                               strikes)
-            strikes = np.where(anneal, 0, strikes)
-            best_checkpoint = np.where(at_window, best_resid,
-                                       best_checkpoint)
-            window = np.where(at_window, 0, window)
-            # Aitken jump: a point whose steps over the whole window
-            # followed ``delta_{t+1} = lambda delta_t`` almost exactly
-            # (squared correlation > 0.99) with a contraction factor
-            # ``|lambda| < 1`` is in a linear regime whose limit is
-            # known in closed form — jump straight to
-            # ``x + delta lambda / (1 - lambda)`` instead of playing
-            # out the geometric series one step at a time.  Monotone
-            # contractions (``lambda`` near +1) skip their long
-            # geometric tail; decaying oscillations (``lambda`` near
-            # -1) jump to the contraction centre, skipping the
-            # annealing ladder.  The jump is only ever a *proposal*:
-            # convergence is still declared by the ordinary residual
-            # test on subsequent iterations, so a jump thrown off by
-            # nonlinearity merely leaves the damped iteration to
-            # continue from a new (floored) state.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = lam_num / lam_den
-                corr_sq = lam_num * lam_num / (lam_den * lam_sq)
-            jump = (at_window
-                    & (lam_den > 0.0) & (lam_sq > 0.0)
-                    & (corr_sq > 0.99)
-                    & (np.abs(lam) < 0.9999))
-            if jump.any():
-                amplifier = np.where(jump, lam / (1.0 - lam), 0.0)
-                x = x + amplifier[:, None] * (x - x_prev2)
-                x = np.maximum(x, floor_act)
-            lam_num = np.where(at_window, 0.0, lam_num)
-            lam_den = np.where(at_window, 0.0, lam_den)
-            lam_sq = np.where(at_window, 0.0, lam_sq)
-            # A point still stalled at the annealing floor is
-            # *stagnant*: its equilibrium sits on a rule discontinuity
-            # (e.g. OLIA's best-set boundary) that no step size can
-            # settle through.  The iterate hovers within O(g_min) of
-            # the sliding point, so burn no more budget: freeze it
-            # now, honestly ``converged=False`` with the stuck
-            # residual on record.  Budget misses (pace strikes
-            # exhausted) freeze through the same path.
-            stagnant = (stalled & ~anneal) | (strikes >= _PACE_STRIKES)
-            if stagnant.any():
-                done = active[stagnant]
-                final_x[done] = x[stagnant]
-                iterations[done] = iteration
-                final_residual[done] = residual[stagnant]
-                keep = ~stagnant
-                active = active[keep]
-                if len(active) == 0:
-                    break
-                x = x[keep]
-                x_prev2 = x_prev2[keep]
-                rtts_act = rtts_act[keep]
-                floor_act = floor_act[keep]
-                residual = residual[keep]
-                g_act = g_act[keep]
-                best_resid = best_resid[keep]
-                best_checkpoint = best_checkpoint[keep]
-                window = window[keep]
-                strikes = strikes[keep]
-                lam_num = lam_num[keep]
-                lam_den = lam_den[keep]
-                lam_sq = lam_sq[keep]
-                rules_act = [rule.take_points(active)
-                             if hasattr(rule, "take_points") else rule
-                             for rule in per_user]
-
-    if len(active):
-        final_x[active] = x
-        final_residual[active] = residual
+    with np.errstate(all="ignore"):
+        # The last evaluation of the budget is kept back for the honest
+        # residual of a point that did not converge.
+        run = _newton(fmap, u, np.zeros(n_points, dtype=int), budget - 1,
+                      tol, damping)
+        reason = _REASONS[run.code]
+        reason[(run.code == _DONE) & (run.plain > 0)] = "fallback"
+        converged = (run.code == _DONE) | (run.code == _TIE)
+        left = np.flatnonzero(~converged & (run.evals < budget))
+        if len(left):
+            sub = fmap.take(left)
+            x = run.x[left]
+            run.residual[left] = rel_change(sub.rates(sub.prices(x)), x)
+            run.evals[left] += 1
 
     return BatchFixedPointResult(
-        batch_network=net, rates=final_x,
-        route_loss=net.route_loss_probs(final_x),
-        link_loss=net.link_loss_probs(final_x),
-        iterations=iterations, converged=converged,
-        residual=final_residual)
+        batch_network=net, rates=run.x,
+        route_loss=net.route_loss_probs(run.x),
+        link_loss=net.link_loss_probs(run.x),
+        iterations=run.evals, converged=converged,
+        residual=run.residual, exit_reason=reason.astype(str))
 
 
 def solve_fixed_point(network, rules, *,
@@ -797,29 +750,11 @@ def solve_fixed_point(network, rules, *,
                       tol: float = 1e-8,
                       max_iter: int = 20000,
                       x0: np.ndarray | None = None) -> FixedPointResult:
-    """Damped iteration ``x <- (1-g) x + g f(p(x))`` to a fixed point.
+    """The K=1 case of :func:`solve_fixed_point_batch`: one code path,
+    so sequential and batched sweeps produce bitwise-equal fixed points.
 
-    A thin K=1 wrapper over :func:`solve_fixed_point_batch`, so
-    sequential and batched sweeps share one code path (and produce
-    bitwise-equal fixed points).
-
-    Parameters
-    ----------
-    network : FluidNetwork
-        The scenario to solve.
-    rules : str, callable or mapping
-        A single rule/name shared by every user, or a mapping
-        ``user -> rule/name``.
-    floor_packets : float
-        Probing floor in packets per RTT, applied after each step.
-    damping, tol, max_iter, x0
-        As in :func:`solve_fixed_point_batch`; ``x0`` has shape
-        ``(n_routes,)`` here.
-
-    Returns
-    -------
-    FixedPointResult
-        Rates, losses and convergence diagnostics of the single point.
+    Parameters are those of the batched solver; ``x0`` has shape
+    ``(n_routes,)`` here.
     """
     batch = solve_fixed_point_batch(
         [network], rules, floor_packets=floor_packets, damping=damping,

@@ -348,7 +348,12 @@ class BatchFluidNetwork:
         ``points`` restricts the evaluation to a subset of the batch, as
         in :meth:`link_loss_probs`.
         """
-        link_probs = self.link_loss_probs(x, points)
+        return self.route_prices(self.link_loss_probs(x, points))
+
+    def route_prices(self, link_probs: np.ndarray) -> np.ndarray:
+        """Route losses from link losses, ``(K, n_links) -> (K, n_routes)``:
+        the second half of :meth:`route_loss_probs`, for callers (the
+        equilibrium solver) whose unknowns are the link prices."""
         route_probs = np.add.reduceat(
             link_probs[..., self._route_gather], self._route_starts,
             axis=-1)

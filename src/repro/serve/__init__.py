@@ -18,7 +18,19 @@ from .service import (
     run_server,
     solve_query,
 )
-from .loadgen import LoadGenConfig, run_loadgen, write_report
+
+#: The load harness draws topologies through ``repro.topology`` (and so
+#: imports the packet simulator); a server never needs it, so these three
+#: names resolve on first use instead of at import.
+_LOADGEN = ("LoadGenConfig", "run_loadgen", "write_report")
+
+
+def __getattr__(name: str):
+    if name in _LOADGEN:
+        from . import loadgen
+        return getattr(loadgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MISSING",

@@ -245,6 +245,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
     cold = _phase_stats(latencies, wall)
     cold["speedup_vs_sequential"] = cold["qps"] / baseline["qps"]
     cold_service = service.stats()
+    cold["unconverged"] = cold_service["unconverged"]
     service.close()
 
     # Warm replay: the same stream through a *fresh* store object on the
@@ -283,6 +284,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
     replay["hit_rate"] = replay_store.stats.hit_rate
     replay["speedup_vs_sequential"] = replay["qps"] / baseline["qps"]
     replay_service = service.stats()
+    replay["unconverged"] = replay_service["unconverged"]
     service.close()
 
     # Bitwise check: served results equal the sequential solver exactly.
@@ -349,7 +351,8 @@ def format_report(report: Dict) -> str:
         f"cold      {cold['queries']:>9} {cold['qps']:>8.1f} "
         f"{cold['p50_ms']:>9.3f} {cold['p99_ms']:>9.3f}   "
         f"{cold['speedup_vs_sequential']:.1f}x vs sequential, mean "
-        f"batch {cold['service']['mean_batch_size']:.1f}",
+        f"batch {cold['service']['mean_batch_size']:.1f}, "
+        f"{cold['unconverged']} unconverged",
         f"warm      {warm['queries']:>9} {warm['qps']:>8.1f} "
         f"{warm['p50_ms']:>9.3f} {warm['p99_ms']:>9.3f}   "
         f"p50 {warm['p50_improvement']:.1f}x better, hit rate "
@@ -357,7 +360,8 @@ def format_report(report: Dict) -> str:
         f"replay    {replay['queries']:>9} {replay['qps']:>8.1f} "
         f"{replay['p50_ms']:>9.3f} {replay['p99_ms']:>9.3f}   "
         f"hit rate {replay['hit_rate']:.3f}, "
-        f"{replay['speedup_vs_sequential']:.1f}x vs sequential",
+        f"{replay['speedup_vs_sequential']:.1f}x vs sequential, "
+        f"{replay['unconverged']} unconverged",
         f"bitwise_equal: {report['bitwise_equal']}",
     ]
     return "\n".join(lines)

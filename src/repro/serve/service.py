@@ -34,17 +34,14 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.registry import get_spec
-from ..fluid.equilibrium import (
-    PerPointRuleSet,
-    solve_fixed_point,
-    solve_fixed_point_batch,
-)
+from ..fluid.equilibrium import PerPointRuleSet, solve_fixed_point_batch
 from ..fluid.loss import PowerLoss, RedLoss, SharpLoss
 from ..fluid.network import FluidNetwork
 from ..util.jsonlines import serve_json_lines
 from .store import MISSING, ResultStore
 
 __all__ = [
+    "SOLVER_VERSION",
     "LinkSpec",
     "UserSpec",
     "RouteSpec",
@@ -55,6 +52,11 @@ __all__ = [
 ]
 
 _LOSS_MODELS = ("power", "sharp", "red")
+
+#: Which solver the stored answers come from.  It is part of every
+#: query's content hash, so entries written by an older solver (the
+#: damped iteration was 1) are never served as this one's.
+SOLVER_VERSION = 2
 
 
 @lru_cache(maxsize=1024)
@@ -165,7 +167,14 @@ class AllocationQuery:
 
     # -- identity ---------------------------------------------------------------
     def content_hash(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()
+        flat = (
+            SOLVER_VERSION,
+            [(link.capacity, link.model, link.p_at_capacity)
+             for link in self.links],
+            [(user.algorithm, user.params) for user in self.users],
+            [(route.user, route.links, route.rtt) for route in self.routes],
+            self.floor_packets, self.damping, self.tol, self.max_iter)
+        return hashlib.sha256(repr(flat).encode()).hexdigest()
 
     def structure_key(self) -> Tuple:
         return (
@@ -221,50 +230,45 @@ class AllocationQuery:
                    max_iter=int(payload.get("max_iter", 20000)))
 
 
-def _result_dict(net: FluidNetwork, point) -> Dict[str, Any]:
-    return {
-        "rates": [float(x) for x in point.rates],
-        "user_totals": [float(t) for t in net.user_totals(point.rates)],
-        "route_loss": [float(p) for p in point.route_loss],
-        "iterations": int(point.iterations),
-        "converged": bool(point.converged),
-        "residual": float(point.residual),
-    }
-
-
-def solve_query(query: AllocationQuery) -> Dict[str, Any]:
-    """Sequential baseline: one ``solve_fixed_point`` call per query.
-
-    Batched service responses are bitwise identical to this (same rule,
-    same damped iteration; the batch path is a contract-tested K=1
-    generalization).
-    """
-    rules = query.user_rules()
-    net = query.to_network()
-    result = solve_fixed_point(
-        net, dict(enumerate(rules)), floor_packets=query.floor_packets,
-        damping=query.damping, tol=query.tol, max_iter=query.max_iter)
-    return _result_dict(net, result)
-
-
 def _solve_batch(entries: List[Tuple[AllocationQuery, List[Any]]]
                  ) -> List[Dict[str, Any]]:
-    """Solve one structure-homogeneous batch (runs on an executor)."""
-    if len(entries) == 1:
-        return [solve_query(entries[0][0])]
-    networks = [query.to_network() for query, _ in entries]
-    n_users = len(entries[0][0].users)
+    """Solve one structure-homogeneous batch (runs on an executor).
+
+    One code path for any K, so a batched response is bitwise identical
+    to the same query solved alone (the solver keeps rows independent).
+    """
+    first = entries[0][0]
     rules = {
         user: PerPointRuleSet([entry_rules[user]
                                for _, entry_rules in entries])
-        for user in range(n_users)
+        for user in range(len(first.users))
     }
-    first = entries[0][0]
     batch = solve_fixed_point_batch(
-        networks, rules, floor_packets=first.floor_packets,
-        damping=first.damping, tol=first.tol, max_iter=first.max_iter)
-    return [_result_dict(networks[k], batch.result(k))
-            for k in range(len(entries))]
+        [query.to_network() for query, _ in entries], rules,
+        floor_packets=first.floor_packets, damping=first.damping,
+        tol=first.tol, max_iter=first.max_iter)
+    return [
+        {"rates": rates, "user_totals": totals, "route_loss": loss,
+         "iterations": iterations, "converged": converged,
+         "residual": residual, "exit_reason": reason}
+        for rates, totals, loss, iterations, converged, residual, reason
+        in zip(batch.rates.tolist(), batch.user_totals().tolist(),
+               batch.route_loss.tolist(), batch.iterations.tolist(),
+               batch.converged.tolist(), batch.residual.tolist(),
+               batch.exit_reason.tolist())]
+
+
+def solve_query(query: AllocationQuery) -> Dict[str, Any]:
+    """Sequential baseline: the query solved alone, as a K=1 batch.
+
+    ``iterations`` counts the map evaluations spent on the query,
+    ``residual`` is the one-step residual of the rate map at the answer
+    and ``exit_reason`` says how the solver left it (``"newton"``,
+    ``"tie"``, ``"fallback"``; ``"stalled"`` / ``"budget"`` come with
+    ``converged: false``) — see
+    :func:`~repro.fluid.equilibrium.solve_fixed_point_batch`.
+    """
+    return _solve_batch([(query, query.user_rules())])[0]
 
 
 @dataclass
@@ -312,6 +316,7 @@ class AllocationService:
         self.admitted = 0
         self.store_hits = 0
         self.dedup_hits = 0
+        self.unconverged = 0
         self.batch_histogram: Dict[int, int] = {}
 
     # -- the query path ---------------------------------------------------------
@@ -368,6 +373,8 @@ class AllocationService:
                 if not item.future.done():
                     item.future.set_exception(exc)
             return
+        self.unconverged += sum(
+            1 for result in results if not result["converged"])
         for item, result in zip(group, results):
             if self.store is not None:
                 self.store.put(item.key, result)
@@ -386,6 +393,7 @@ class AllocationService:
             "dedup_hits": self.dedup_hits,
             "batches": batches,
             "solved": solved,
+            "unconverged": self.unconverged,
             "mean_batch_size": solved / batches if batches else 0.0,
             "max_batch_size": max(self.batch_histogram, default=0),
             "batch_histogram": {

@@ -12,7 +12,10 @@ at the same directory share results.
 On top of the disk layer:
 
 * an **in-memory LRU** (``memory_entries``) absorbs the hot set without
-  a stat+open per hit;
+  an open+read per hit.  It holds each entry as the same pickled bytes
+  the disk does — a third of the live object's footprint for a service
+  response — so a hit is one ``pickle.loads`` and never aliases the
+  object an earlier caller got;
 * an optional **disk size bound** (``max_entries``) evicts the
   oldest-mtime entries once the directory outgrows it;
 * **corrupt/truncated entries** read as misses, are deleted so the next
@@ -28,9 +31,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 import os
+import pickle
 import time
 
-from ..util.atomics import MISSING, atomic_pickle, load_pickle
+from ..util.atomics import (
+    MISSING,
+    PICKLE_ERRORS,
+    UNPICKLE_ERRORS,
+    atomic_write_bytes,
+)
 
 __all__ = ["MISSING", "ResultStore", "StoreStats"]
 
@@ -100,10 +109,11 @@ class ResultStore:
         if memory_entries < 0:
             raise ValueError("memory_entries must be >= 0")
         self.directory = Path(directory)
+        self._prefix = os.path.join(os.fspath(directory), "")
         self.max_entries = max_entries
         self.memory_entries = memory_entries
         self.stats = StoreStats()
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._disk_count: Optional[int] = None
 
     # -- paths ------------------------------------------------------------------
@@ -118,57 +128,71 @@ class ResultStore:
         deleted (so a recompute can land a clean entry) and counted in
         ``stats.corrupt``; the call reports a miss.
         """
-        if key in self._memory:
+        data = self._memory.get(key)
+        if data is not None:
             self._memory.move_to_end(key)
             self.stats.hits += 1
             self.stats.memory_hits += 1
-            return self._memory[key]
-        path = self.path_for(key)
-        value = load_pickle(path, MISSING)
-        if value is MISSING:
-            if path.exists():
-                # Present but unreadable: torn or corrupt.  Delete it so
-                # the recompute's write is not mistaken for still-bad.
-                self.stats.corrupt += 1
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            return pickle.loads(data)
+        path = f"{self._prefix}{key}.pkl"
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            value = pickle.loads(data)
+        except OSError:
             self.stats.misses += 1
+            return default
+        except UNPICKLE_ERRORS:
+            # Present but unreadable: torn or corrupt.  Delete it so the
+            # recompute's write is not mistaken for still-bad.
+            self.stats.corrupt += 1
+            self.stats.misses += 1
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return default
         self.stats.hits += 1
         try:
             self.stats.hit_age_seconds += max(
-                0.0, time.time() - path.stat().st_mtime)
+                0.0, time.time() - os.stat(path).st_mtime)
         except OSError:
             pass
-        self._remember(key, value)
+        self._remember(key, data)
         return value
 
     # -- writes -----------------------------------------------------------------
     def put(self, key: str, value: Any) -> bool:
         """Store ``value`` under ``key``; ``True`` when it hit the disk.
 
-        Always lands in the memory LRU.  The disk write is best-effort
-        (an unpicklable value or a full disk degrades to memory-only).
+        One ``pickle.dumps`` feeds both tiers.  The disk write is
+        best-effort (a full disk degrades to memory-only); a value that
+        cannot be pickled is not stored at all.
         """
-        self._remember(key, value)
-        path = self.path_for(key)
-        was_new = not path.exists()
-        if not atomic_pickle(path, value):
+        try:
+            data = pickle.dumps(value)
+        except PICKLE_ERRORS:
+            return False
+        self._remember(key, data)
+        path = f"{self._prefix}{key}.pkl"
+        counting = self.max_entries is not None
+        was_new = counting and not os.path.exists(path)
+        try:
+            atomic_write_bytes(path, data)
+        except OSError:
             return False
         self.stats.writes += 1
-        if self.max_entries is not None:
+        if counting:
             if self._disk_count is not None and was_new:
                 self._disk_count += 1
             self._maybe_evict()
         return True
 
     # -- internals --------------------------------------------------------------
-    def _remember(self, key: str, value: Any) -> None:
+    def _remember(self, key: str, data: bytes) -> None:
         if self.memory_entries == 0:
             return
-        self._memory[key] = value
+        self._memory[key] = data
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)

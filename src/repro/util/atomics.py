@@ -20,9 +20,9 @@ result store (``serve/store.py``) are built on these primitives.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Optional
@@ -31,6 +31,14 @@ from typing import Any, Optional
 #: unreadable.  Identity-checked (``value is MISSING``), so any stored
 #: value — including ``None`` and ``False`` — round-trips unambiguously.
 MISSING = object()
+
+
+#: Temporary-file naming: a per-process token (distinct across hosts on a
+#: shared filesystem), the pid at call time (distinct across forks) and a
+#: sequence number (distinct across threads and calls).
+_WRITER = os.urandom(4).hex()
+_SEQUENCE = itertools.count()
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
 
 
 def _unlink_quiet(path: "str | os.PathLike") -> None:
@@ -44,21 +52,40 @@ def atomic_write_bytes(path: "str | os.PathLike", data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (tmpfile in-dir + rename).
 
     Concurrent writers to the same path are safe: each writes its own
-    temporary file and the last rename wins, with readers seeing either
-    the old complete entry or the new complete entry, never a mix.
-    Raises ``OSError`` on failure (full disk, permissions); the partial
-    temporary file is removed before the exception propagates.
+    temporary file (named after the target, the writer and a per-process
+    sequence number, created ``O_EXCL``) and the last rename wins, with
+    readers seeing either the old complete entry or the new complete
+    entry, never a mix.  The parent directory is created on demand —
+    only when the first open says it is missing, so the steady state is
+    open, write, close, rename and nothing else.  Raises ``OSError`` on
+    failure (full disk, permissions); the partial temporary file is
+    removed before the exception propagates.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    target = os.fspath(path)
+    tmp = f"{target}.{_WRITER}-{os.getpid()}-{next(_SEQUENCE)}.tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp_name, target)
+        fd = os.open(tmp, _TMP_FLAGS, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, target)
     except OSError:
-        _unlink_quiet(tmp_name)
+        _unlink_quiet(tmp)
         raise
+
+
+#: What ``pickle.dumps`` raises on a value that cannot be pickled, and
+#: what ``pickle.load(s)`` raises on a truncated or garbage entry.
+PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                   ImportError, IndexError)
 
 
 def atomic_pickle(path: "str | os.PathLike", obj: Any) -> bool:
@@ -70,12 +97,8 @@ def atomic_pickle(path: "str | os.PathLike", obj: Any) -> bool:
     computation that produced the value.
     """
     try:
-        data = pickle.dumps(obj)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return False
-    try:
-        atomic_write_bytes(path, data)
-    except OSError:
+        atomic_write_bytes(path, pickle.dumps(obj))
+    except PICKLE_ERRORS + (OSError,):
         return False
     return True
 
@@ -91,8 +114,7 @@ def load_pickle(path: "str | os.PathLike", default: Any = MISSING) -> Any:
     try:
         with open(path, "rb") as fh:
             return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
+    except UNPICKLE_ERRORS + (OSError,):
         return default
 
 

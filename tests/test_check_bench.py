@@ -381,6 +381,17 @@ class TestCheckServeReport:
         del report["replay"]["p50_ms"]
         assert check_bench.check_serve_report(report)
 
+    def test_unconverged_share_above_one_percent_fails(self):
+        report = _serve_report()
+        report["cold"].update(queries=2000, unconverged=21)
+        failures = check_bench.check_serve_report(report)
+        assert any("cold.unconverged" in f for f in failures)
+        report["cold"]["unconverged"] = 20      # exactly 1%: allowed
+        assert check_bench.check_serve_report(report) == []
+        # A report from before the key existed is not judged on it.
+        del report["cold"]["unconverged"]
+        assert check_bench.check_serve_report(report) == []
+
     def test_baseline_ratio_regression_fails(self):
         new = _serve_report(cold_speedup=6.0, replay_speedup=20.0)
         baseline = _serve_report(cold_speedup=6.0, replay_speedup=100.0)

@@ -168,6 +168,51 @@ class TestTwoWorkerIntegration:
         assert stats["results_received"] == 10
 
 
+    def test_late_worker_still_hears_done(self, tmp_path):
+        """Complete the grid with one worker, *then* start the second:
+        a coordinator told to expect two is still there to answer it
+        (it used to close with the first worker's connection, and the
+        late one gave up ``coordinator-gone``)."""
+        specs = _grid(6)
+        thread = CoordinatorThread(
+            _coordinator(specs, tmp_path, resume=False, expected_workers=2),
+            linger=20.0)
+        port = thread.start()
+        (first,) = _run_workers(port, 1)
+        assert first.reason == "done" and first.points == 6
+        time.sleep(0.3)     # well past the open-connection grace
+        (late,) = _run_workers(port, 1)
+        assert late.reason == "done" and late.points == 0
+        started = time.time()
+        stats = thread.result()
+        # Both expected workers have been answered: no further wait.
+        assert time.time() - started < 5.0
+        assert stats["done"] and stats["completed"] == 6
+
+    def test_without_a_count_the_coordinator_closes_as_before(self,
+                                                               tmp_path):
+        specs = _grid(6)
+        thread = CoordinatorThread(
+            _coordinator(specs, tmp_path, resume=False), linger=20.0)
+        port = thread.start()
+        _run_workers(port, 1)
+        started = time.time()
+        assert thread.result()["done"]
+        assert time.time() - started < 5.0      # not the 20 s linger
+        (late,) = _run_workers(port, 1)
+        assert late.reason == "coordinator-gone"
+
+    def test_expected_worker_that_never_comes_costs_only_the_linger(
+            self, tmp_path):
+        specs = _grid(4)
+        thread = CoordinatorThread(
+            _coordinator(specs, tmp_path, resume=False, expected_workers=2),
+            linger=0.5)
+        port = thread.start()
+        _run_workers(port, 1)
+        assert thread.result(timeout=10.0)["done"]
+
+
 class TestWorkerKilledMidLease:
     def test_eof_requeues_lease_no_point_lost_or_doubled(self, tmp_path):
         specs = _grid(9)

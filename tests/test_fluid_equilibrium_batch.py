@@ -3,11 +3,11 @@
 The contract of :func:`~repro.fluid.solve_fixed_point_batch` mirrors the
 batched integrator's: stacking K sweep points into one (K, n_routes)
 state matrix must produce *bitwise-identical* fixed points to solving
-the K points one at a time — including the per-point iteration count and
-residual, because each point is frozen at the iteration where it first
-converges.  Every test builds randomised scenarios from a seeded
-generator and asserts exact equality (``np.array_equal``), not mere
-closeness.
+the K points one at a time — including the per-point evaluation count
+and residual, because every operation is row-wise and each point leaves
+the compute the moment it finishes.  Every test builds randomised
+scenarios from a seeded generator and asserts exact equality
+(``np.array_equal``), not mere closeness.
 """
 
 import numpy as np
@@ -143,17 +143,17 @@ class TestBitwiseEquivalence:
 
 
 class TestTieCycleStopping:
-    """OLIA best-set tie rows must converge, not walk the anneal ladder.
+    """OLIA best-set tie rows must converge, and quickly.
 
-    The bench sweep grid contains rows whose OLIA best-set membership
-    flips every iteration (a period-2 tie cycle).  The cycle amplitude
-    is proportional to the step size while the stagnation rescale is
-    its inverse, so annealing can never settle such a row — it used to
-    anneal to the floor and freeze ``converged=False`` after ~2000
-    iterations.  The tie-cycle exemption (alternating steps with a
-    window AR(1) contraction estimate strictly inside the unit circle)
-    keeps the step size fixed and lets the period-2 residual test catch
-    the collapsing cycle instead.
+    The bench sweep grid contains rows whose OLIA equilibrium sits on a
+    best-path tie: the single-valued rule has no fixed point there, and
+    the damped iteration this solver replaced flipped the best set every
+    step (a period-2 cycle it stopped on and served one phase of).  The
+    Newton solver notices that its line search straddles the rule's
+    jump and solves such a row on the tie manifold — the split between
+    the tied routes is the unknown, price equality the equation — so
+    the row converges to a defined answer in tens of evaluations, and
+    batched and sequential solves of it stay bitwise equal.
     """
 
     @staticmethod

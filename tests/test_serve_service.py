@@ -335,3 +335,52 @@ class TestServer:
         (padded, error, after), (fresh,) = _run(go())
         assert padded["ok"] and after["ok"] and fresh["ok"]
         assert not error["ok"] and "line limit" in error["error"]
+
+
+class TestWhatTheResponseSays:
+    def test_exit_reason_and_evaluation_count(self):
+        response = solve_query(_query())
+        assert response["exit_reason"] in ("newton", "tie", "fallback")
+        assert response["converged"] is True
+        assert isinstance(response["iterations"], int)
+        assert response["iterations"] >= 1
+        assert 0.0 <= response["residual"] < _query().tol
+
+    def test_a_starved_budget_is_served_unconverged_and_counted(self):
+        query = _query(max_iter=3)
+
+        async def go():
+            service = AllocationService()
+            try:
+                return await service.query(query), service.stats()
+            finally:
+                service.close()
+
+        response, stats = _run(go())
+        assert response["converged"] is False
+        assert response["exit_reason"] == "budget"
+        assert response["iterations"] <= 3
+        assert stats["unconverged"] == 1 and stats["solved"] == 1
+
+    def test_solver_version_is_part_of_the_content_hash(self, monkeypatch):
+        from repro.serve import service as service_module
+        before = _query().content_hash()
+        monkeypatch.setattr(service_module, "SOLVER_VERSION",
+                            service_module.SOLVER_VERSION + 1)
+        assert _query().content_hash() != before
+
+
+class TestImportFootprint:
+    def test_the_server_imports_neither_scipy_nor_the_simulator(self):
+        """A serve process answers equilibrium queries; the load
+        harness's names stay importable from the package, lazily."""
+        import subprocess
+        import sys
+        code = (
+            "import repro.serve.service, sys\n"
+            "heavy = {'scipy', 'repro.sim', 'repro.topology'}\n"
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+            "from repro.serve import run_loadgen, LoadGenConfig, "
+            "write_report\n"
+            "assert 'repro.topology' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
