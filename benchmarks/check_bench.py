@@ -15,13 +15,13 @@ What is checked (and why it survives CI-runner variance):
 * ``bitwise_equal`` must be true for the fluid and equilibrium sweeps —
   the batch backends are only allowed to be *faster*, never different.
 * The **speedup ratios** (batch vs loop, optimised engine vs seed
-  engine — including the loaded-engine, adaptive-scheduler and
-  timer-churn microbenches that track the wheel scheduler, the auto
-  backend and the Timer API) are compared, not absolute points/sec:
-  both sides of each ratio run in the same process on the same
-  machine, so the ratio is stable across hardware while a >2x drop
-  still means a real regression (e.g. batching silently falling back
-  to the scalar path, or the wheel degenerating to heap behaviour).
+  engine — including the loaded-engine, compiled-engine and
+  timer-churn microbenches that track the event heap, the C core and
+  the Timer API) are compared, not absolute points/sec: both sides of
+  each ratio run in the same process on the same machine, so the ratio
+  is stable across hardware while a >2x drop still means a real
+  regression (e.g. batching silently falling back to the scalar path,
+  or the Timer degenerating to schedule-and-cancel churn).
 * When the new report's workload size matches the baseline's, the bound
   is ``new_speedup >= baseline_speedup / factor``.  A smoke report
   (``REPRO_BENCH_SMOKE=1``) uses smaller workloads where batching pays
@@ -32,11 +32,9 @@ What is checked (and why it survives CI-runner variance):
   a ``speedup < bound`` check — so missing or non-finite metrics fail
   the gate outright instead of silently passing it.
 * With ``--scale``, a ``BENCH_scale.json`` written by ``python -m
-  repro scale`` is validated too: every recorded run must have finite
-  positive events/sec and coherent counters, and where both the auto
-  and the fixed wheel backend ran the same preset, auto must stay
-  within :data:`SCALE_AUTO_FLOOR` of the wheel (the adaptive backend's
-  whole point is to cost ~nothing at scale).
+  repro scale`` is validated too: every preset record must have finite
+  positive events/sec and coherent counters, and every family cell
+  must have finished its transfers.
 
 When ``$GITHUB_STEP_SUMMARY`` is set (any GitHub Actions job), a
 markdown before/after table of every checked section is appended to it,
@@ -59,22 +57,11 @@ from typing import Dict, List, Optional
 #: differs from the baseline's (the CI smoke case).  Chosen from the
 #: smoke-mode measurements in docs/PERFORMANCE.md with >2x headroom.
 #:
-#: The ``engine`` floor dropped from 1.0 to 0.8 in PR 3 *by design*:
-#: the wheel scheduler trades bare-chain constants (the ``engine``
-#: workload, ~1.1-1.4x vs seed across runs, previously ~1.5x on the
-#: heap) for cost that is flat in the pending population.  0.8 still
-#: rejects an engine meaningfully slower than the seed on the bare
-#: chain, while the two sections added alongside it — ``engine_loaded``
-#: (~2.8x vs seed full-size) and ``timer_churn`` (~5.8x) — catch the
-#: wheel or the Timer degenerating to heap/churn behaviour long before
-#: the bare chain would.  See docs/PERFORMANCE.md "Engine hot path".
-#:
-#: ``engine_auto`` measures the adaptive backend against the fixed
-#: wheel on the loaded chain, where it must have promoted: ~0.85-0.95x
-#: (chunk bookkeeping plus one amortised O(n) migration; parity on
-#: real scenarios, where callbacks dominate).  0.7 rejects the auto
-#: machinery eating the wheel's win — e.g. a mis-calibrated crossover
-#: leaving it thrashing or parked on the heap.
+#: The ``engine`` floor (0.8) rejects an engine meaningfully slower
+#: than the seed on the bare chain; ``engine_loaded`` (the chain under
+#: tens of thousands of parked timers) and ``timer_churn`` (~5.8x)
+#: catch the heap path or the Timer degenerating long before the bare
+#: chain would.  See docs/PERFORMANCE.md "Engine hot path".
 #:
 #: ``engine_compiled`` measures the C EngineCore against the pure loop
 #: on the loaded chain: ~7-8x full-size, still several-x at smoke
@@ -89,7 +76,6 @@ SMOKE_FLOORS = {
     "equilibrium_sweep_balia": 1.5,
     "engine": 0.8,
     "engine_loaded": 1.2,
-    "engine_auto": 0.7,
     "engine_compiled": 1.3,
     "timer_churn": 2.0,
 }
@@ -102,7 +88,6 @@ SIZE_KEYS = {
     "equilibrium_sweep_balia": "n_points",
     "engine": "n_events",
     "engine_loaded": "n_events",
-    "engine_auto": "n_events",
     "engine_compiled": "n_events",
     "timer_churn": "n_ticks",
 }
@@ -118,11 +103,6 @@ AVAILABILITY_SECTIONS = ("engine_compiled",)
 #: Sections whose batch backend must stay bitwise-equal to the loop.
 BITWISE_SECTIONS = ("fluid_sweep", "equilibrium_sweep",
                     "fluid_sweep_balia", "equilibrium_sweep_balia")
-
-#: Scale-report bound: auto events/sec relative to the fixed wheel on
-#: the same preset.  Generous against CI noise; the committed local
-#: measurement sits at ~1.0 (docs/PERFORMANCE.md "Scale harness").
-SCALE_AUTO_FLOOR = 0.7
 
 #: Absolute floors for a full-size BENCH_serve report (the ISSUE's
 #: acceptance bar): batching must beat the sequential baseline ≥ 5x on
@@ -165,7 +145,7 @@ SERVE_POSITIVE_METRICS = (
     ("replay", "qps"), ("replay", "p50_ms"),
 )
 
-#: Per-run metrics of a BENCH_scale entry that must be finite (and,
+#: Metrics of a BENCH_scale preset record that must be finite (and,
 #: for the first two, positive).
 SCALE_RUN_METRICS = ("events_per_sec", "wall_seconds", "events",
                      "peak_pending", "n_flows", "goodput_mean_pps",
@@ -177,8 +157,7 @@ SCALE_RUN_METRICS = ("events_per_sec", "wall_seconds", "events",
 #: (the machine has fewer cores than workers, so the ratio measures the
 #: hardware, not the fabric; the committed BENCH_dist.json from the
 #: 1-core dev container carries this flag, CI's multi-core runners do
-#: not) or ``scaling_stale`` (cache-warm wall clocks, mirroring
-#: ``auto_vs_wheel_stale``).
+#: not) or ``scaling_stale`` (cache-warm wall clocks).
 DIST_FLOORS = {"scaling_2": 1.6}
 
 #: Smoke grid (96 points): per-point cost is milliseconds, so lease
@@ -251,51 +230,27 @@ def check_scale_report(report: Dict) -> List[str]:
     if not isinstance(presets, dict) or not presets:
         return ["scale: report contains no presets (empty or truncated "
                 "BENCH_scale.json)"]
-    for preset, entry in presets.items():
-        if not isinstance(entry, dict):
+    for preset, run in presets.items():
+        where = f"scale[{preset}]"
+        if not isinstance(run, dict):
             # A truncated/partially-written report must FAIL cleanly,
             # not die with a traceback before any message is printed.
             failures.append(
-                f"scale[{preset}]: entry is {entry!r}, not a mapping "
+                f"{where}: record is {run!r}, not a mapping "
                 "(truncated BENCH_scale.json?)")
             continue
-        runs = entry.get("backends")
-        if not isinstance(runs, dict) or not runs:
-            failures.append(
-                f"scale[{preset}]: no engine-backend runs recorded")
-            continue
-        for backend, run in runs.items():
-            where = f"scale[{preset}/{backend}]"
-            if not isinstance(run, dict):
+        for metric in SCALE_RUN_METRICS:
+            if metric not in run:
+                failures.append(f"{where}: metric {metric!r} missing")
+            elif not _finite(run[metric]):
                 failures.append(
-                    f"{where}: run record is {run!r}, not a mapping")
-                continue
-            for metric in SCALE_RUN_METRICS:
-                if metric not in run:
-                    failures.append(f"{where}: metric {metric!r} missing")
-                elif not _finite(run[metric]):
-                    failures.append(
-                        f"{where}: metric {metric!r} is "
-                        f"{run[metric]!r}, not a finite number")
-            for metric in ("events_per_sec", "wall_seconds"):
-                if _finite(run.get(metric, None)) and run[metric] <= 0:
-                    failures.append(
-                        f"{where}: {metric} must be positive, got "
-                        f"{run[metric]!r}")
-        ratio = entry.get("auto_vs_wheel")
-        if "auto" in runs and "wheel" in runs \
-                and not entry.get("auto_vs_wheel_stale"):
-            # With a cached (possibly other-machine) cell on either
-            # side, the report legitimately carries no ratio — wall
-            # clocks are only comparable within one run on one host.
-            if not _finite(ratio):
+                    f"{where}: metric {metric!r} is {run[metric]!r}, "
+                    "not a finite number")
+        for metric in ("events_per_sec", "wall_seconds"):
+            if _finite(run.get(metric, None)) and run[metric] <= 0:
                 failures.append(
-                    f"scale[{preset}]: auto_vs_wheel is {ratio!r}, not "
-                    "a finite number")
-            elif ratio < SCALE_AUTO_FLOOR:
-                failures.append(
-                    f"scale[{preset}]: auto backend at {ratio}x of the "
-                    f"fixed wheel, below the {SCALE_AUTO_FLOOR}x floor")
+                    f"{where}: {metric} must be positive, got "
+                    f"{run[metric]!r}")
     failures.extend(_check_scale_families(report))
     return failures
 
@@ -515,8 +470,7 @@ def check_dist_report(report: Dict) -> List[str]:
     if isinstance(two, dict) and "1" in runs:
         if two.get("core_limited") or two.get("scaling_stale"):
             # The ratio measures hardware (or a warm cache), not the
-            # fabric — same skip-not-fail contract as
-            # auto_vs_wheel_stale in the scale report.
+            # fabric: skip, never fail.
             pass
         else:
             scaling = two.get("scaling_vs_1")
@@ -596,25 +550,16 @@ def summary_markdown(new: Optional[Dict], baseline: Optional[Dict],
                 f"| {run.get('reassigned_points')} | {flags} |")
     if isinstance(scale, dict):
         lines += ["", "## Scale harness", "",
-                  "| preset | backend | flows | events/s | "
-                  "peak pending | migrations |",
-                  "|---|---|---|---|---|---|"]
-        for preset, entry in (scale.get("presets") or {}).items():
-            if not isinstance(entry, dict):
+                  "| preset | flows | events/s | peak pending |",
+                  "|---|---|---|---|"]
+        for preset, run in (scale.get("presets") or {}).items():
+            if not isinstance(run, dict):
                 continue   # check_scale_report reports the failure
-            for backend, run in (entry.get("backends") or {}).items():
-                if not isinstance(run, dict):
-                    continue
-                eps = run.get("events_per_sec")
-                eps = round(eps) if _finite(eps) else eps
-                lines.append(
-                    f"| {preset} | {backend} | {run.get('n_flows')} "
-                    f"| {eps} | {run.get('peak_pending')} "
-                    f"| {run.get('migrations')} |")
-            ratio = entry.get("auto_vs_wheel")
-            if ratio is not None:
-                lines.append(
-                    f"| {preset} | *auto vs wheel* |  | {ratio}x |  |  |")
+            eps = run.get("events_per_sec")
+            eps = round(eps) if _finite(eps) else eps
+            lines.append(
+                f"| {preset} | {run.get('n_flows')} | {eps} "
+                f"| {run.get('peak_pending')} |")
         families = scale.get("families")
         if isinstance(families, dict) and families:
             lines += ["", "## Scenario families", "",

@@ -26,8 +26,8 @@ report so the performance trajectory is tracked commit over commit:
     pending set (the seed microbench, kept for trajectory continuity);
   - ``engine_loaded`` — the same chain with tens of thousands of
     far-future timers pending, the realistic regime of a large DES
-    sweep: a binary heap pays ``O(log n)`` per operation against that
-    population, the timer wheel does not;
+    sweep: the binary heap pays ``O(log n)`` per operation against that
+    population;
   - ``timer_churn`` — RTO-style deadline rearming: N concurrent timers
     each pushed out on every driver tick.  "Before" is the naive
     cancel-and-reschedule idiom on the seed engine — the cost any
@@ -38,17 +38,11 @@ report so the performance trajectory is tracked commit over commit:
     speedup therefore measures what the Timer API saves a straight-
     forward client, not a regression the seed's TCP actually suffered.
 
-  The "after" engine in all three is the *default* ``Simulator()`` —
-  since the adaptive scheduler became the default, that is
-  ``scheduler="auto"``, so these sections also track what a plain
-  client gets without picking a backend.
+  The "after" engine in all three is the *default* ``Simulator()``,
+  so these sections track what a plain client gets.
 
-* **adaptive scheduler overhead** (``engine_auto``) — the loaded-chain
-  workload run on all three backends; the recorded ``speedup`` is
-  ``auto`` vs the fixed ``wheel``, i.e. what the auto backend costs
-  (or saves) in the regime where it must have promoted.  A value
-  drifting well below 1.0 means the sampling/migration machinery — or
-  a mis-calibrated crossover — is eating the wheel's win.
+* **compiled engine core** (``engine_compiled``) — the loaded chain on
+  the C ``EngineCore`` vs the pure-python loop.
 
 Run via ``python -m repro bench`` (or ``benchmarks/bench_report.py``).
 ``REPRO_BENCH_SMOKE=1`` caps the workload sizes so CI smoke runs stay
@@ -75,8 +69,7 @@ from .fluid import (
     solve_fixed_point,
     solve_fixed_point_batch,
 )
-from .sim.engine import Simulator
-from .sim.scheduler import COMPILED_AVAILABLE, calibrate
+from .sim.engine import COMPILED_AVAILABLE, Simulator
 
 
 def smoke_mode() -> bool:
@@ -266,8 +259,8 @@ def _engine_events_per_sec(sim_factory, n_events: int,
     sim = sim_factory()
     # Optional background load: far-future timers that never fire inside
     # the measured window (they sit between 1 s and 60 s; the chain ends
-    # well before).  A heap pays O(log n_pending) per chain operation
-    # against them; the wheel parks them in its outer levels.
+    # well before).  The heap pays O(log n_pending) per chain operation
+    # against them.
     for i in range(n_pending):
         sim.schedule(1.0 + i * (59.0 / n_pending), _noop)
     counter = [0]
@@ -326,36 +319,6 @@ def bench_engine_loaded(*, n_events: int = 200_000,
     }
 
 
-def bench_engine_auto(*, n_events: int = 200_000,
-                      n_pending: int = 20_000,
-                      repeats: int = 3) -> Dict[str, object]:
-    """Loaded-chain events/sec of heap, wheel and auto backends.
-
-    In this regime (tens of thousands pending) the adaptive backend
-    must have promoted itself to the wheel, so ``speedup`` — auto
-    relative to the fixed wheel — measures the whole cost of the
-    auto machinery: population sampling plus the one heap-to-wheel
-    migration, amortised over the run.  ~1.0 is the healthy value.
-    """
-    def backend(name):
-        return max(
-            _engine_events_per_sec(lambda: Simulator(name), n_events,
-                                   n_pending)
-            for _ in range(repeats))
-
-    heap = backend("heap")
-    wheel = backend("wheel")
-    auto = backend("auto")
-    return {
-        "n_events": n_events,
-        "n_pending": n_pending,
-        "heap_events_per_sec": round(heap),
-        "wheel_events_per_sec": round(wheel),
-        "auto_events_per_sec": round(auto),
-        "speedup": round(auto / wheel, 3),
-    }
-
-
 def bench_engine_compiled(*, n_events: int = 200_000,
                           n_pending: int = 20_000,
                           repeats: int = 3) -> Dict[str, object]:
@@ -364,16 +327,11 @@ def bench_engine_compiled(*, n_events: int = 200_000,
     Isolates what the C extension itself buys (``engine`` /
     ``engine_loaded`` track the default engine against the *seed*, so
     they absorb the compiled speedup without attributing it).  Both
-    sides run the :func:`bench_engine_loaded` workload on the default
-    ``auto`` backend; only the ``compiled=`` flag differs.  When the
-    extension is not built the section records ``available: false``
-    and the gate in ``benchmarks/check_bench.py`` skips it — a
-    pure-python checkout is degraded, not broken.
-
-    The section also records the self-calibrated crossover band of
-    both cost models (pure and compiled), so a calibration regression
-    — e.g. the compiled wheel losing its flat-cost edge — shows up in
-    the report history.
+    sides run the :func:`bench_engine_loaded` workload; only the
+    ``compiled=`` flag differs.  When the extension is not built the
+    section records ``available: false`` and the gate in
+    ``benchmarks/check_bench.py`` skips it — a pure-python checkout is
+    degraded, not broken.
     """
     result: Dict[str, object] = {
         "available": COMPILED_AVAILABLE,
@@ -390,20 +348,10 @@ def bench_engine_compiled(*, n_events: int = 200_000,
         _engine_events_per_sec(lambda: Simulator(compiled=True),
                                n_events, n_pending)
         for _ in range(repeats))
-    pure_cal = calibrate(compiled=False)
-    compiled_cal = calibrate(compiled=True)
     result.update({
         "pure_events_per_sec": round(pure),
         "compiled_events_per_sec": round(compiled),
         "speedup": round(compiled / pure, 3),
-        "calibration": {
-            "pure": {"source": pure_cal["source"],
-                     "promote": pure_cal["promote"],
-                     "demote": pure_cal["demote"]},
-            "compiled": {"source": compiled_cal["source"],
-                         "promote": compiled_cal["promote"],
-                         "demote": compiled_cal["demote"]},
-        },
     })
     return result
 
@@ -510,8 +458,6 @@ def run_bench(output_path: str | None = None, *,
         engine = bench_engine(n_events=20_000, repeats=1)
         loaded = bench_engine_loaded(n_events=20_000, n_pending=5_000,
                                      repeats=1)
-        auto = bench_engine_auto(n_events=20_000, n_pending=5_000,
-                                 repeats=1)
         compiled = bench_engine_compiled(n_events=20_000,
                                          n_pending=5_000, repeats=1)
         churn = bench_timer_churn(n_timers=32, n_ticks=300, repeats=1)
@@ -524,7 +470,6 @@ def run_bench(output_path: str | None = None, *,
                                                     algorithm="balia")
         engine = bench_engine()
         loaded = bench_engine_loaded()
-        auto = bench_engine_auto()
         compiled = bench_engine_compiled()
         churn = bench_timer_churn()
     report = {
@@ -537,7 +482,6 @@ def run_bench(output_path: str | None = None, *,
         "equilibrium_sweep_balia": equilibrium_balia,
         "engine": engine,
         "engine_loaded": loaded,
-        "engine_auto": auto,
         "engine_compiled": compiled,
         "timer_churn": churn,
     }
@@ -552,7 +496,6 @@ def format_report(report: Dict[str, object]) -> str:
     """Human-readable summary of :func:`run_bench` output."""
     engine = report["engine"]
     loaded = report["engine_loaded"]
-    auto = report["engine_auto"]
     churn = report["timer_churn"]
     lines = []
     # One block per sweep section — the balia rows (and any future
@@ -583,17 +526,10 @@ def format_report(report: Dict[str, object]) -> str:
         f"  before: {loaded['before_events_per_sec']:>10} events/s",
         f"  after : {loaded['after_events_per_sec']:>10} events/s"
         f"  ({loaded['speedup']}x)",
-        f"engine auto ({auto['n_events']} events, "
-        f"{auto['n_pending']} pending timers):",
-        f"  heap  : {auto['heap_events_per_sec']:>10} events/s",
-        f"  wheel : {auto['wheel_events_per_sec']:>10} events/s",
-        f"  auto  : {auto['auto_events_per_sec']:>10} events/s"
-        f"  ({auto['speedup']}x vs wheel)",
     ]
     comp = report.get("engine_compiled")
     if comp is not None:
         if comp.get("available"):
-            cal = comp["calibration"]
             lines += [
                 f"engine compiled ({comp['n_events']} events, "
                 f"{comp['n_pending']} pending timers):",
@@ -601,10 +537,6 @@ def format_report(report: Dict[str, object]) -> str:
                 " events/s",
                 f"  compiled: {comp['compiled_events_per_sec']:>10}"
                 f" events/s  ({comp['speedup']}x)",
-                f"  calibration: pure promote={cal['pure']['promote']}"
-                f" ({cal['pure']['source']}), compiled "
-                f"promote={cal['compiled']['promote']}"
-                f" ({cal['compiled']['source']})",
             ]
         else:
             lines.append("engine compiled: extension not built "

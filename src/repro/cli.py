@@ -32,9 +32,9 @@ that take one, and ``scale --algorithms LIST`` replaces the generated
 workloads' algorithm mix.
 ``bench`` measures the hot paths and writes ``BENCH_sweep.json``;
 ``scale`` runs generated large-topology workloads (100 to 10k+ flows,
-``python -m repro scale --preset medium``) through the DES engine on
-every scheduler backend and writes ``BENCH_scale.json`` (see
-docs/PERFORMANCE.md and docs/REPRODUCING.md).
+``python -m repro scale --preset medium``) through the DES engine and
+writes ``BENCH_scale.json`` (see docs/PERFORMANCE.md and
+docs/REPRODUCING.md).
 ``--claim-ttl SECONDS`` (on ``run``, ``scale`` and the sweep fabric
 verbs) reaps abandoned ``.claim`` lock files older than the TTL, so a
 hard-killed ``--shard steal`` run never parks points forever; the
@@ -261,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="generator preset to run (repeatable; "
                                 f"default: medium; known: "
                                 f"{', '.join(sorted(scale.PRESETS))})")
-    scale_cmd.add_argument("--engine-backends", dest="engine_backends",
-                           default="heap,wheel,auto", metavar="LIST",
-                           help="comma-separated engine event-scheduler "
-                                "backends to compare on the preset grid "
-                                "(default: heap,wheel,auto; formerly "
-                                "--schedulers)")
     scale_cmd.add_argument("--families", default=None, metavar="LIST",
                            help="comma-separated scenario families to "
                                 "run as finite-transfer sections (known: "
@@ -733,16 +727,15 @@ def main(argv=None) -> int:
         runner = _sweep_runner(args)
         if runner is None or not _report_dir_exists(args.output):
             return 2
-        backends = _parse_names(args.engine_backends) or ()
         schedulers = _parse_names(args.schedulers) or ()
         families = _parse_names(args.families) or ()
         algorithms = _parse_names(args.algorithms)
         started = time.time()
         try:
             report = scale.scale_report(
-                args.presets or ["medium"], backends=backends,
-                families=families, schedulers=schedulers,
-                duration=args.duration, warmup=args.warmup,
+                args.presets or ["medium"], families=families,
+                schedulers=schedulers, duration=args.duration,
+                warmup=args.warmup,
                 max_flows=args.max_flows, algorithms=algorithms,
                 seed=args.seed, smoke=args.smoke or None, runner=runner)
         except (KeyError, ValueError) as exc:

@@ -32,7 +32,7 @@ transfer statistics, link dynamics) is deterministic given the seed.
 with fewer cores than workers is flagged ``core_limited``: the scaling
 floor is about the fabric, not about pretending a 1-core container has
 2 cores, so ``check_bench.py --dist`` skips (never fails) the floor for
-such runs, exactly like the ``auto_vs_wheel_stale`` skip.
+such runs.
 """
 
 from __future__ import annotations
@@ -103,9 +103,8 @@ def run_dist_point(*, family: str, scheduler: str, algorithm: str,
     docstring for why timing fields are dropped).
     """
     run = run_family_point(family=family, scheduler=scheduler,
-                           algorithm=algorithm, backend="auto",
-                           horizon=horizon, max_flows=max_flows,
-                           seed=seed)
+                           algorithm=algorithm, horizon=horizon,
+                           max_flows=max_flows, seed=seed)
     return {
         "family": run.family,
         "scheduler": run.scheduler,

@@ -5,22 +5,21 @@ The roadmap's scale target — 10k-flow scenarios through the DES engine
 scenario generator (:mod:`repro.topology.generator`) inside one
 simulator, runs it, and reports the numbers that matter at scale:
 events/sec of the event loop, wall-clock split between scenario build
-and run, the peak pending-event population (the quantity the adaptive
-scheduler keys on), and the per-flow goodput distribution (scale is
-useless if the flows starve).
+and run, the peak pending-event population (the size of the event
+heap), and the per-flow goodput distribution (scale is useless if the
+flows starve).
 
 Points are plain :class:`~repro.experiments.runner.RunSpec` functions
 dispatched through :class:`~repro.experiments.sweep.SweepRunner`, so
-the whole preset × backend grid shards, steals, caches and resumes
-like every other sweep in this repo.  ``python -m repro scale`` drives
+the whole grid shards, steals, caches and resumes like every other
+sweep in this repo.  ``python -m repro scale`` drives
 it and writes ``BENCH_scale.json`` (validated in CI by
 ``benchmarks/check_bench.py --scale``).
 
-Two orthogonal grids live here (mirroring the registry's two axes):
+Two grids live here:
 
-* **presets × engine backends** (``--preset``/``--engine-backends``):
-  DES throughput of the heap/wheel/auto event schedulers on the wired
-  workloads — "scheduler" in these records means *engine backend*;
+* **presets** (``--preset``): DES throughput on the wired workloads,
+  one record per preset;
 * **families × packet schedulers × CC** (``--families``/
   ``--schedulers``/``--algorithms``): finite-transfer completion times
   of the heterogeneous/wireless scenario families
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..benchreport import smoke_mode
 from ..core.registry import get_scheduler_spec, get_spec
-from ..sim.engine import SCHEDULER_NAMES, Simulator
+from ..sim.engine import Simulator
 from ..sim.monitors import FlowMeter
 from ..topology.generator import (
     PRESETS,
@@ -89,8 +88,8 @@ DEFAULT_REPEATS: Dict[str, int] = {
 
 #: Smoke-mode caps (REPRO_BENCH_SMOKE=1 / --smoke).  Sized so the
 #: PR-tier CI run finishes in a few seconds while the measured window
-#: is still long enough (~0.4 s wall) for the auto-vs-wheel ratio the
-#: gate checks to be meaningful rather than timer noise.
+#: is still long enough (~0.4 s wall) for events/sec to be a
+#: measurement rather than timer noise.
 SMOKE_MAX_FLOWS = 400
 SMOKE_DURATION = 1.5
 SMOKE_WARMUP = 0.4
@@ -98,10 +97,9 @@ SMOKE_WARMUP = 0.4
 
 @dataclass
 class ScaleRun:
-    """Outcome of one (preset, engine backend) scale point."""
+    """Outcome of one preset scale point."""
 
     preset: str
-    backend: str                 # engine backend (heap/wheel/auto)
     n_flows: int
     n_links: int
     seed: int
@@ -114,8 +112,6 @@ class ScaleRun:
     events_per_sec: float        # steady state: window events / wall
     peak_pending: int            # max pending-event population seen
     final_pending: int
-    migrations: int              # auto-backend switches (0 for fixed)
-    final_backend: str           # backend active when the run ended
     goodput_mean_pps: float      # bulk flows, measurement window only
     goodput_p10_pps: float
     goodput_p50_pps: float
@@ -131,7 +127,7 @@ def _percentile(ranked: List[float], pct: float) -> float:
     return ranked[index]
 
 
-def run_scale_point(*, preset: str, backend: str = "auto",
+def run_scale_point(*, preset: str,
                     duration: Optional[float] = None,
                     warmup: Optional[float] = None,
                     max_flows: Optional[int] = None,
@@ -146,27 +142,26 @@ def run_scale_point(*, preset: str, backend: str = "auto",
 
     ``sample_period`` is the simulated-time spacing of the pending-
     population sampler (one rearmable timer — its own events are part
-    of the workload, identically on every backend).  With ``repeats``
-    (default per preset, :data:`DEFAULT_REPEATS`) the whole build+run
-    repeats and the fastest measurement wins; the simulation itself is
-    seed-deterministic, so repeats differ only in wall clock.
+    of the workload).  With ``repeats`` (default per preset,
+    :data:`DEFAULT_REPEATS`) the whole build+run repeats and the fastest
+    measurement wins; the simulation itself is seed-deterministic, so
+    repeats differ only in wall clock.
     """
     preset_config(preset)   # unknown names get the clear ValueError
     if repeats is None:
         repeats = DEFAULT_REPEATS.get(preset, 1)
     best: Optional[ScaleRun] = None
     for _ in range(max(repeats, 1)):
-        run = _run_scale_once(preset=preset, backend=backend,
-                              duration=duration, warmup=warmup,
-                              max_flows=max_flows, algorithms=algorithms,
+        run = _run_scale_once(preset=preset, duration=duration,
+                              warmup=warmup, max_flows=max_flows,
+                              algorithms=algorithms,
                               sample_period=sample_period, seed=seed)
         if best is None or run.events_per_sec > best.events_per_sec:
             best = run
     return best
 
 
-def _run_scale_once(*, preset: str, backend: str,
-                    duration: Optional[float],
+def _run_scale_once(*, preset: str, duration: Optional[float],
                     warmup: Optional[float],
                     max_flows: Optional[int],
                     algorithms: Optional[Sequence[str]],
@@ -175,7 +170,7 @@ def _run_scale_once(*, preset: str, backend: str,
         duration = DEFAULT_DURATIONS[preset]
     if warmup is None:
         warmup = DEFAULT_WARMUPS[preset]
-    sim = Simulator(backend)
+    sim = Simulator()
 
     build_start = perf_counter()
     scenario = generate_preset(
@@ -200,8 +195,8 @@ def _run_scale_once(*, preset: str, backend: str,
     sim.run(until=warmup)
     meter.reset()
     # Steady-state throughput is measured over the post-warmup window
-    # only: the ramp (flows starting, slow-start, the auto backend's
-    # one-off migration) belongs to warmup, exactly as for goodput.
+    # only: the ramp (flows starting, slow-start) belongs to warmup,
+    # exactly as for goodput.
     events_at_warmup = sim.events_processed
     window_start = perf_counter()
     sim.run(until=warmup + duration)
@@ -216,7 +211,6 @@ def _run_scale_once(*, preset: str, backend: str,
                  for t in source.completion_times]
     return ScaleRun(
         preset=preset,
-        backend=backend,
         n_flows=scenario.n_flows,
         n_links=len(scenario.links),
         seed=seed,
@@ -229,8 +223,6 @@ def _run_scale_once(*, preset: str, backend: str,
         events_per_sec=events_measured / window_wall,
         peak_pending=max(peak[0], sim.pending_events),
         final_pending=sim.pending_events,
-        migrations=sim.migrations,
-        final_backend=sim.active_backend,
         goodput_mean_pps=(sum(goodputs) / n_bulk if n_bulk else 0.0),
         goodput_p10_pps=_percentile(goodputs, 10),
         goodput_p50_pps=_percentile(goodputs, 50),
@@ -256,7 +248,6 @@ class FamilyRun:
     family: str
     scheduler: str               # packet scheduler (registry axis)
     algorithm: str               # congestion-control algorithm
-    backend: str                 # engine backend the point ran on
     n_flows: int
     n_links: int
     seed: int
@@ -275,7 +266,7 @@ class FamilyRun:
 
 
 def run_family_point(*, family: str, scheduler: str = "minrtt",
-                     algorithm: str = "olia", backend: str = "auto",
+                     algorithm: str = "olia",
                      horizon: Optional[float] = None,
                      max_flows: Optional[int] = None,
                      seed: int = 1) -> FamilyRun:
@@ -295,7 +286,7 @@ def run_family_point(*, family: str, scheduler: str = "minrtt",
             "flows")
     if horizon is None:
         horizon = FAMILY_HORIZON
-    sim = Simulator(backend)
+    sim = Simulator()
     build_start = perf_counter()
     config = family_config(family)
     if max_flows is not None:
@@ -322,7 +313,6 @@ def run_family_point(*, family: str, scheduler: str = "minrtt",
         family=family,
         scheduler=scheduler,
         algorithm=algorithm,
-        backend=backend,
         n_flows=scenario.n_flows,
         n_links=len(scenario.links),
         seed=seed,
@@ -343,7 +333,6 @@ def run_family_point(*, family: str, scheduler: str = "minrtt",
 
 
 def scale_report(presets: Sequence[str] = ("medium",), *,
-                 backends: Sequence[str] = ("heap", "wheel", "auto"),
                  families: Sequence[str] = (),
                  schedulers: Sequence[str] = ("minrtt", "roundrobin",
                                               "redundant", "qaware"),
@@ -354,34 +343,20 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
                  algorithms: Optional[Sequence[str]] = None,
                  seed: int = 1, smoke: Optional[bool] = None,
                  runner: Optional[SweepRunner] = None) -> dict:
-    """Run the preset × backend grid (plus optional family × scheduler
-    × CC sections) and assemble the report dict.
+    """Run the preset grid (plus optional family × scheduler × CC
+    sections) and assemble the report dict.
 
     The grids go through ``runner`` (default: an in-process
     :class:`SweepRunner`) exactly as the figure sweeps do, so a 10k-flow
     grid can be split across machines through a shared cache directory.
     In a sharded run, cells owned by other shards are simply absent
-    from the report (and the table prints them as PENDING).
-
-    ``backends`` selects the *engine* event schedulers of the preset
-    grid; ``schedulers`` selects the *packet* schedulers of the family
-    grid — the two orthogonal meanings the registry now separates.
+    from the report.  ``schedulers`` selects the *packet* schedulers
+    of the family grid.
     """
     if not presets and not families:
         raise ValueError("no presets or families to run")
     for preset in presets:
         preset_config(preset)
-    if presets and not backends:
-        raise ValueError(
-            "no engine backends to run (empty --engine-backends?); "
-            "expected a comma-separated subset of "
-            f"{', '.join(SCHEDULER_NAMES)}")
-    for name in backends:
-        if name not in SCHEDULER_NAMES:
-            expected = ", ".join(SCHEDULER_NAMES)
-            raise ValueError(
-                f"unknown engine backend {name!r}; expected one of "
-                f"{expected}")
     for family in families:
         family_config(family)
     if families and not schedulers:
@@ -417,11 +392,10 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
     family_algorithms = tuple(algorithms) if algorithms else ("olia",)
 
     specs = [
-        RunSpec.make(run_scale_point, preset=preset, backend=backend,
-                     duration=duration, warmup=warmup, max_flows=max_flows,
-                     repeats=repeats, algorithms=algorithms, seed=seed)
-        for preset in presets
-        for backend in backends]
+        RunSpec.make(run_scale_point, preset=preset, duration=duration,
+                     warmup=warmup, max_flows=max_flows, repeats=repeats,
+                     algorithms=algorithms, seed=seed)
+        for preset in presets]
     n_preset_cells = len(specs)
     family_cells = [(family, scheduler, algorithm)
                     for family in families
@@ -433,8 +407,7 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
                      max_flows=family_max_flows, seed=seed)
         for family, scheduler, algorithm in family_cells]
     # Wall-clock cells served from a resume cache were measured in some
-    # earlier run, possibly on another machine; remember which, so the
-    # report never builds a cross-machine throughput ratio.
+    # earlier run, possibly on another machine; the report says which.
     from_cache = [False] * len(specs)
 
     def note_cache(tick):
@@ -447,37 +420,18 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
         "smoke": smoke,
         "python": platform.python_version(),
         "seed": seed,
-        "backends": list(backends),
         "schedulers": list(schedulers) if families else [],
         "algorithms": None if algorithms is None else list(algorithms),
         "presets": {},
         "families": {},
     }
-    n_backends = len(backends)
-    for cell, preset in enumerate(presets):
-        base = cell * n_backends
-        block = runs[base:base + n_backends]
-        by_backend = {}
-        for offset, (backend, run) in enumerate(zip(backends, block)):
-            if run is SWEEP_PENDING:
-                continue
-            record = asdict(run)
-            record["from_cache"] = from_cache[base + offset]
-            by_backend[backend] = record
-        if not by_backend:
+    for index, preset in enumerate(presets):
+        run = runs[index]
+        if run is SWEEP_PENDING:
             continue
-        entry: dict = {"backends": by_backend}
-        wheel = by_backend.get("wheel")
-        auto = by_backend.get("auto")
-        if wheel and auto:
-            # Ratios only mean something when both sides were measured
-            # by this run on this machine (check_bench's own rule).
-            if wheel["from_cache"] or auto["from_cache"]:
-                entry["auto_vs_wheel_stale"] = True
-            else:
-                entry["auto_vs_wheel"] = round(
-                    auto["events_per_sec"] / wheel["events_per_sec"], 3)
-        report["presets"][preset] = entry
+        record = asdict(run)
+        record["from_cache"] = from_cache[index]
+        report["presets"][preset] = record
     for offset, (family, scheduler, algorithm) in enumerate(family_cells):
         index = n_preset_cells + offset
         run = runs[index]
@@ -497,25 +451,12 @@ def report_table(report: dict) -> ResultTable:
     table = ResultTable(
         "Scale harness - DES throughput on generated scenarios"
         + (" [SMOKE]" if report.get("smoke") else ""),
-        ["preset", "backend", "flows", "events/s", "wall s",
-         "peak pending", "migrations", "goodput p50 pps"])
-    for preset, entry in report["presets"].items():
-        for backend, run in entry["backends"].items():
-            table.add_row(preset, backend, run["n_flows"],
-                          round(run["events_per_sec"]),
-                          round(run["wall_seconds"], 2),
-                          run["peak_pending"], run["migrations"],
-                          round(run["goodput_p50_pps"], 1))
-        ratio = entry.get("auto_vs_wheel")
-        if ratio is not None:
-            table.add_note(
-                f"{preset}: auto runs at {ratio}x the fixed wheel's "
-                "events/s (>= 1.0 means the adaptive backend costs "
-                "nothing at scale)")
-        elif entry.get("auto_vs_wheel_stale"):
-            table.add_note(
-                f"{preset}: auto/wheel ratio omitted — a cached cell "
-                "from an earlier run makes wall clocks incomparable")
+        ["preset", "flows", "events/s", "wall s", "peak pending",
+         "goodput p50 pps"])
+    for preset, run in report["presets"].items():
+        table.add_row(preset, run["n_flows"], round(run["events_per_sec"]),
+                      round(run["wall_seconds"], 2), run["peak_pending"],
+                      round(run["goodput_p50_pps"], 1))
     return table
 
 

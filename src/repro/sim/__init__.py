@@ -3,7 +3,6 @@
 from .apps import BackgroundTraffic, BulkTransfer, ShortFlowSource
 from .engine import Event, Simulator, Timer
 from .link import Link, LinkStats
-from .scheduler import AdaptiveScheduler, HeapScheduler, WheelScheduler
 from .monitors import FlowMeter, WindowTracer
 from .mptcp import MptcpConnection, PathSpec
 from .packet import Packet
@@ -21,9 +20,6 @@ __all__ = [
     "Simulator",
     "Event",
     "Timer",
-    "AdaptiveScheduler",
-    "HeapScheduler",
-    "WheelScheduler",
     "Packet",
     "DropTailQueue",
     "REDQueue",

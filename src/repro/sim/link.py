@@ -14,7 +14,7 @@ wire, and one for the head of the propagation pipe (a FIFO of
 link, so completion order is arrival order).  The seed engine instead
 held one pending event per packet in flight, which on a long-delay link
 is a bandwidth-delay product's worth of heap entries per link; the
-service-loop shape keeps the scheduler's pending set proportional to
+service-loop shape keeps the engine's pending set proportional to
 the number of *links*, not packets.
 """
 

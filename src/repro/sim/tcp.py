@@ -120,7 +120,7 @@ class TcpSubflow:
         self._timed_at = 0.0
         # Retransmission timer: one rearmable engine Timer for the whole
         # connection.  Every transmission/ACK pushes its deadline out
-        # (one write to the timer's ``deadline`` slot, no scheduler
+        # (one write to the timer's ``deadline`` slot, no event-heap
         # traffic); only genuine expiry reaches _on_timeout.
         self._rto_timer = sim.timer(self._on_timeout)
 

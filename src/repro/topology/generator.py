@@ -17,7 +17,7 @@ Generation is a pure function of ``(config, seed)``: the same seed
 reproduces the identical scenario object graph — link rates, path
 wiring, algorithm assignment, start jitter, churn seeds — which is what
 makes 10k-flow runs cacheable by content hash and comparable across
-scheduler backends (see ``tests/test_topology_generator.py``).
+engines (see ``tests/test_topology_generator.py``).
 
 Named presets (:data:`PRESETS`) span ~100 flows to 10k+; they feed the
 ``python -m repro scale`` harness (:mod:`repro.experiments.scale`).
@@ -195,10 +195,9 @@ class GeneratorConfig:
 
 
 #: Named workload sizes for the scale harness; flow counts span the
-#: ~100-flow regime (where the heap backend's constants still win) to
-#: the 10k+ regime the roadmap targets (wheel territory).  Link pools
-#: keep ~8-20 flows per bottleneck so congestion stays realistic as the
-#: population grows.
+#: figure-scale ~100-flow regime to the 10k+ regime the roadmap
+#: targets.  Link pools keep ~8-20 flows per bottleneck so congestion
+#: stays realistic as the population grows.
 PRESETS: Dict[str, GeneratorConfig] = {
     "tiny": GeneratorConfig(n_flows=24, n_links=8),
     "small": GeneratorConfig(n_flows=100, n_links=16),

@@ -1,6 +1,6 @@
 """Constraint-model base class and the optional-z3 degradation path.
 
-Mirrors the compiled-kernels pattern (``repro.sim.scheduler``): the
+Mirrors the compiled-kernels pattern (``repro.sim.engine``): the
 solver is probed once at import, :data:`Z3_AVAILABLE` records the
 outcome, and every consumer that actually needs z3 calls
 :func:`require_z3` — which returns the module or raises the typed

@@ -14,7 +14,7 @@ _SPEC.loader.exec_module(check_bench)
 
 
 def _report(*, fluid_speedup=30.0, eq_speedup=4.0, engine_speedup=1.4,
-            loaded_speedup=3.0, auto_speedup=0.95, churn_speedup=8.0,
+            loaded_speedup=3.0, churn_speedup=8.0,
             balia_fluid_speedup=20.0, balia_eq_speedup=4.0,
             compiled_speedup=7.5, compiled_available=True,
             n_points=64, n_events=200_000, n_ticks=2000, bitwise=True,
@@ -38,45 +38,26 @@ def _report(*, fluid_speedup=30.0, eq_speedup=4.0, engine_speedup=1.4,
         "engine": {"n_events": n_events, "speedup": engine_speedup},
         "engine_loaded": {"n_events": n_events, "n_pending": 20_000,
                           "speedup": loaded_speedup},
-        "engine_auto": {"n_events": n_events, "n_pending": 20_000,
-                        "speedup": auto_speedup},
         "engine_compiled": compiled,
         "timer_churn": {"n_timers": 32, "n_ticks": n_ticks,
                         "speedup": churn_speedup},
     }
 
 
-def _scale_run(backend, events_per_sec=250_000.0, **overrides):
-    run = {
-        "backend": backend,
+def _scale_report(**overrides):
+    record = {
+        "preset": "medium",
         "n_flows": 1000,
-        "events_per_sec": events_per_sec,
+        "events_per_sec": 250_000.0,
         "wall_seconds": 1.2,
         "events": 300_000,
         "peak_pending": 8000,
-        "migrations": 1 if backend == "auto" else 0,
         "goodput_mean_pps": 40.0,
         "goodput_p50_pps": 12.0,
     }
-    run.update(overrides)
-    return run
-
-
-def _scale_report(auto_vs_wheel=1.0, **run_overrides):
-    return {
-        "benchmark": "BENCH_scale",
-        "smoke": False,
-        "presets": {
-            "medium": {
-                "backends": {
-                    "heap": _scale_run("heap"),
-                    "wheel": _scale_run("wheel"),
-                    "auto": _scale_run("auto", **run_overrides),
-                },
-                "auto_vs_wheel": auto_vs_wheel,
-            },
-        },
-    }
+    record.update(overrides)
+    return {"benchmark": "BENCH_scale", "smoke": False,
+            "presets": {"medium": record}}
 
 
 class TestCheckReport:
@@ -179,13 +160,6 @@ class TestCheckReport:
         assert len(failures) == 1
         assert "engine" in failures[0] and "finite" in failures[0]
 
-    def test_auto_backend_regression_fails(self):
-        new = _report(auto_speedup=0.3, n_points=8, n_events=20_000,
-                      n_ticks=300)
-        failures = check_bench.check_report(new, _report())
-        assert len(failures) == 1
-        assert "engine_auto" in failures[0]
-
     def test_compiled_regression_fails(self):
         new = _report(compiled_speedup=2.0)
         failures = check_bench.check_report(new, _report(), factor=2.0)
@@ -237,8 +211,7 @@ class TestCheckScaleReport:
 
     def test_missing_metric_fails(self):
         report = _scale_report()
-        del report["presets"]["medium"]["backends"]["auto"][
-            "events_per_sec"]
+        del report["presets"]["medium"]["events_per_sec"]
         failures = check_bench.check_scale_report(report)
         assert any("events_per_sec" in f and "missing" in f
                    for f in failures)
@@ -260,32 +233,15 @@ class TestCheckScaleReport:
         assert any("wall_seconds" in f and "positive" in f
                    for f in failures)
 
-    def test_stale_ratio_flag_waives_the_requirement(self):
-        report = _scale_report()
-        entry = report["presets"]["medium"]
-        del entry["auto_vs_wheel"]
-        entry["auto_vs_wheel_stale"] = True
-        assert check_bench.check_scale_report(report) == []
-
-    def test_auto_below_wheel_floor_fails(self):
-        report = _scale_report(auto_vs_wheel=0.5)
-        failures = check_bench.check_scale_report(report)
-        assert any("auto backend" in f for f in failures)
-
-    def test_missing_ratio_with_both_backends_fails(self):
-        report = _scale_report()
-        del report["presets"]["medium"]["auto_vs_wheel"]
-        failures = check_bench.check_scale_report(report)
-        assert any("auto_vs_wheel" in f for f in failures)
-
     def test_truncated_report_fails_without_traceback(self):
         """A half-written BENCH_scale.json must produce FAIL lines,
         not an AttributeError before anything is printed."""
         for broken in (
                 [1, 2, 3],
                 {"presets": {"medium": None}},
-                {"presets": {"medium": {"backends": {"auto": None}}}},
-                {"presets": {"medium": {"backends": {"auto": []}}}}):
+                {"presets": {"medium": []}},
+                # The retired one-entry-per-engine-backend shape.
+                {"presets": {"medium": {"backends": {"heap": {}}}}}):
             failures = check_bench.check_scale_report(broken)
             assert failures, broken
             # The markdown writer must survive the same inputs (it
@@ -416,7 +372,7 @@ class TestStepSummary:
                                             _scale_report())
         for section in check_bench.SIZE_KEYS:
             assert section in text
-        assert "medium" in text and "auto vs wheel" in text
+        assert "Scale harness" in text and "| medium | 1000 |" in text
 
     def test_written_when_env_set(self, tmp_path, monkeypatch):
         target = tmp_path / "summary.md"

@@ -129,8 +129,8 @@ class TestCli:
             assert "--claim-ttl" in capsys.readouterr().err
         assert main(["run", "fig4", "--shard", "0/1"]) == 0
         assert main(["scale", "--preset", "tiny", "--duration", "0.3",
-                     "--warmup", "0.1", "--engine-backends", "heap",
-                     "--shard", "0/1", "--output", out]) == 0
+                     "--warmup", "0.1", "--shard", "0/1",
+                     "--output", out]) == 0
 
     def test_algorithms_verb_prints_layer_table(self, capsys):
         assert main(["algorithms"]) == 0

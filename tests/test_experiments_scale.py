@@ -30,8 +30,7 @@ _SPEC.loader.exec_module(check_bench)
 
 # One in-process point everybody below reuses (module-level so the
 # numbers stay comparable across asserts without re-running).
-_POINT_KWARGS = dict(preset="tiny", backend="auto", duration=0.4,
-                     warmup=0.1, seed=2)
+_POINT_KWARGS = dict(preset="tiny", duration=0.4, warmup=0.1, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +52,6 @@ class TestRunScalePoint:
         assert math.isfinite(tiny_run.goodput_mean_pps)
         assert (tiny_run.goodput_p10_pps <= tiny_run.goodput_p50_pps
                 <= tiny_run.goodput_p90_pps)
-
-    def test_records_backend_state(self, tiny_run):
-        assert tiny_run.backend == "auto"
-        assert tiny_run.final_backend in ("heap", "wheel")
-        assert tiny_run.migrations >= 0
 
     def test_same_seed_same_simulation(self, tiny_run):
         again = run_scale_point(**_POINT_KWARGS)
@@ -81,27 +75,23 @@ class TestRunScalePoint:
 
 class TestScaleReportAlgorithms:
     def test_algorithms_recorded_and_validated(self):
-        report = scale_report(["tiny"], backends=("auto",),
-                              duration=0.3, warmup=0.1, seed=3,
+        report = scale_report(["tiny"], duration=0.3, warmup=0.1, seed=3,
                               smoke=False, algorithms=("balia",))
         assert report["algorithms"] == ["balia"]
         assert check_bench.check_scale_report(report) == []
         with pytest.raises(KeyError, match="known"):
-            scale_report(["tiny"], backends=("auto",),
-                         algorithms=("not-an-algo",))
+            scale_report(["tiny"], algorithms=("not-an-algo",))
         with pytest.raises(ValueError, match="no packet layer"):
-            scale_report(["tiny"], backends=("auto",),
-                         algorithms=("epsilon",))
+            scale_report(["tiny"], algorithms=("epsilon",))
 
 
 class TestScaleReport:
-    def test_grid_and_ratio(self, tmp_path):
-        report = scale_report(
-            ["tiny"], backends=("wheel", "auto"), duration=0.3,
-            warmup=0.1, seed=3, smoke=False)
-        entry = report["presets"]["tiny"]
-        assert set(entry["backends"]) == {"wheel", "auto"}
-        assert math.isfinite(entry["auto_vs_wheel"])
+    def test_one_record_per_preset(self, tmp_path):
+        report = scale_report(["tiny"], duration=0.3, warmup=0.1, seed=3,
+                              smoke=False)
+        record = report["presets"]["tiny"]
+        assert record["preset"] == "tiny" and record["from_cache"] is False
+        assert math.isfinite(record["events_per_sec"])
         # The report satisfies the CI validator it is gated by.
         assert check_bench.check_scale_report(report) == []
         path = tmp_path / "BENCH_scale.json"
@@ -110,60 +100,41 @@ class TestScaleReport:
 
     def test_smoke_env_caps_the_workload(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-        report = scale_report(["tiny"], backends=("heap",),
-                              duration=0.3, warmup=0.1)
+        report = scale_report(["tiny"], duration=0.3, warmup=0.1)
         assert report["smoke"] is True
-        run = report["presets"]["tiny"]["backends"]["heap"]
+        run = report["presets"]["tiny"]
         assert run["n_flows"] <= SMOKE_MAX_FLOWS
         assert run["duration"] <= min(0.3, SMOKE_DURATION)
 
     def test_cached_grid_is_served_verbatim(self, tmp_path):
-        kwargs = dict(backends=("heap",), duration=0.3, warmup=0.1,
-                      seed=4, smoke=False,
+        kwargs = dict(duration=0.3, warmup=0.1, seed=4, smoke=False,
                       runner=SweepRunner(cache_dir=tmp_path))
         first = scale_report(["tiny"], **kwargs)
         assert list(tmp_path.glob("*.pkl"))
         second = scale_report(["tiny"], **kwargs)
-        one = first["presets"]["tiny"]["backends"]["heap"]
-        two = second["presets"]["tiny"]["backends"]["heap"]
+        one = first["presets"]["tiny"]
+        two = second["presets"]["tiny"]
         # Cache provenance is tracked per cell; everything else —
         # wall-clock fields included — is served verbatim from disk.
         assert one.pop("from_cache") is False
         assert two.pop("from_cache") is True
         assert one == two
 
-    def test_cached_cells_suppress_the_wall_clock_ratio(self, tmp_path):
-        kwargs = dict(backends=("wheel", "auto"), duration=0.3,
-                      warmup=0.1, seed=5, smoke=False,
-                      runner=SweepRunner(cache_dir=tmp_path))
-        fresh = scale_report(["tiny"], **kwargs)
-        assert "auto_vs_wheel" in fresh["presets"]["tiny"]
-        cached = scale_report(["tiny"], **kwargs)
-        entry = cached["presets"]["tiny"]
-        # A cached cell may have been measured on another machine: no
-        # cross-run throughput ratio is reported (and the validator
-        # does not demand one).
-        assert "auto_vs_wheel" not in entry
-        assert entry["auto_vs_wheel_stale"] is True
-        assert check_bench.check_scale_report(cached) == []
-        assert "omitted" in str(report_table(cached))
-
     def test_unknown_preset_and_backend_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             scale_report(["bogus"])
-        with pytest.raises(ValueError, match="backend"):
-            scale_report(["tiny"], backends=("fibheap",))
-        with pytest.raises(ValueError, match="engine-backends"):
-            scale_report(["tiny"], backends=())
+        # There is one event store: the engine-backend axis is gone.
+        with pytest.raises(TypeError, match="backends"):
+            scale_report(["tiny"], backends=("heap",))
         with pytest.raises(ValueError, match="presets"):
             scale_report([])
 
     def test_table_renders_every_cell(self):
-        report = scale_report(["tiny"], backends=("heap", "auto"),
-                              duration=0.3, warmup=0.1, smoke=False)
+        report = scale_report(["tiny"], duration=0.3, warmup=0.1,
+                              smoke=False)
         text = str(report_table(report))
-        assert "tiny" in text and "auto" in text and "heap" in text
-        assert "auto vs wheel" not in text   # wheel did not run
+        run = report["presets"]["tiny"]
+        assert "tiny" in text and str(run["peak_pending"]) in text
 
 
 class TestFamilyGrid:
@@ -197,7 +168,7 @@ class TestFamilyGrid:
     def test_report_grid_validates_and_renders(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
         report = scale_report(
-            ["tiny"], backends=("heap",), families=("wired",),
+            ["tiny"], families=("wired",),
             schedulers=("minrtt", "redundant"), duration=0.3,
             warmup=0.1, seed=3)
         assert report["schedulers"] == ["minrtt", "redundant"]
@@ -216,7 +187,7 @@ class TestFamilyGrid:
                   "transfer_mean_s": 1.0, "transfer_p50_s": 1.0,
                   "transfer_p90_s": 1.5}
         def rep(rec):
-            return {"presets": {"tiny": {"backends": {"heap": {}}}},
+            return {"presets": {"tiny": {}},
                     "families": {"wired": {"schedulers":
                                            {"minrtt": {"olia": rec}}}}}
         base = [f for f in check_bench.check_scale_report(rep(record))
@@ -242,8 +213,7 @@ class TestCliVerb:
     def test_scale_round_trip(self, tmp_path, capsys):
         output = tmp_path / "BENCH_scale.json"
         code = main(["scale", "--preset", "tiny", "--duration", "0.3",
-                     "--warmup", "0.1", "--engine-backends", "wheel,auto",
-                     "--output", str(output)])
+                     "--warmup", "0.1", "--output", str(output)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Scale harness" in out
@@ -252,18 +222,13 @@ class TestCliVerb:
         assert check_bench.check_scale_report(report) == []
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
-        code = main(["scale", "--preset", "tiny", "--engine-backends", "bogus",
-                     "--output", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
-
-    def test_empty_backends_exits_2(self, tmp_path, capsys):
-        """A shell-quoting accident must not 'succeed' with an empty
-        report."""
-        code = main(["scale", "--preset", "tiny", "--engine-backends", "",
-                     "--output", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "engine-backends" in capsys.readouterr().err
+        """The engine-backend flag went with the backend axis; argparse
+        rejects it before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale", "--preset", "tiny", "--engine-backends", "heap",
+                  "--output", str(tmp_path / "x.json")])
+        assert excinfo.value.code == 2
+        assert "--engine-backends" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_shard_requires_resume(self, tmp_path, capsys):
@@ -274,8 +239,8 @@ class TestCliVerb:
 
     def test_sharded_runs_merge_through_the_cache(self, tmp_path):
         cache = tmp_path / "cache"
-        common = ["--preset", "tiny", "--duration", "0.3", "--warmup",
-                  "0.1", "--engine-backends", "heap,wheel,auto",
+        common = ["--preset", "tiny", "--preset", "small", "--max-flows",
+                  "24", "--duration", "0.3", "--warmup", "0.1",
                   "--resume", str(cache)]
         for shard in ("0/2", "1/2"):
             out = tmp_path / f"shard{shard[0]}.json"
@@ -284,6 +249,6 @@ class TestCliVerb:
         merged = tmp_path / "merged.json"
         assert main(["scale", *common, "--output", str(merged)]) == 0
         report = json.loads(merged.read_text())
-        assert set(report["presets"]["tiny"]["backends"]) == \
-            {"heap", "wheel", "auto"}
+        assert set(report["presets"]) == {"tiny", "small"}
+        assert all(run["from_cache"] for run in report["presets"].values())
         assert check_bench.check_scale_report(report) == []

@@ -19,9 +19,8 @@ queues (``tiny`` preset), the scheduler gate under all four packet
 schedulers with ``TimeVaryingLink`` fading, handovers and channel loss
 (``wifi_lte``/``handover`` families), and RED thresholds above their
 floor with the BALIA and fully-coupled controllers (scenario A at
-4 Mbps).  They run on the *default* scheduler backend, so CI's
-``REPRO_SIM_SCHEDULER`` matrix checks every backend against them.  A
-mismatching hash cannot name the divergent event; the counters say
+4 Mbps).  Like the trace files, every digest must match on both
+engines.  A mismatching hash cannot name the divergent event; the counters say
 roughly where to look, and the scenario-A files localise exactly.
 
 Regenerate after an *intentional* behaviour change with::
@@ -42,7 +41,7 @@ import pytest
 
 from repro.experiments.runner import staggered_starts
 from repro.sim import BulkTransfer, Simulator
-from repro.sim.scheduler import COMPILED_AVAILABLE
+from repro.sim.engine import COMPILED_AVAILABLE
 from repro.sim.tcp import TcpSubflow
 from repro.topology.generator import (build_random_scenario, family_config,
                                       generate_preset)

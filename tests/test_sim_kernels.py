@@ -1,12 +1,13 @@
-"""Property tests for the compiled DES kernels (optional extension).
+"""Property tests for the compiled DES engine core (optional extension).
 
-The C kernels must be *invisible*: HeapKernel/WheelKernel pop in the
-pure schedulers' exact ``(time, seq)`` order under any interleaving,
-and EngineCore — including through forced heap<->wheel migrations —
-dispatches the same trace as the pure-python engine.  The whole module
+The C ``EngineCore`` must be *invisible*: under any stream of
+schedules, cancellations, ``run(until)`` slices and a final
+``run_until_empty`` it dispatches the pure-python engine's exact trace,
+and it fails with the pure engine's exact messages.  The whole module
 skips when the extension is not built (the pure-fallback CI lane).
 """
 
+import math
 import random
 
 import pytest
@@ -14,81 +15,89 @@ import pytest
 _kernels = pytest.importorskip("repro.sim._kernels")
 
 from repro.sim.engine import Simulator
-from repro.sim.scheduler import HeapScheduler, WheelScheduler
+
+#: Delay scales the random workload draws from: same-instant bursts,
+#: link and ACK timescales, RTOs, and far-future timers out to ~4 months.
+HORIZONS = (1e-4, 5e-3, 0.3, 2.0, 80.0, 2e4, 1e7)
 
 
-def _entry(time, seq):
-    return (time, seq, None, (), None)
+def _random_run(sim, seed, n_roots=400, n_slices=20):
+    """Drive ``sim`` through one seeded random workload; return its log.
 
-
-def _random_interleaving(schedulers, seed, n_ops=5000):
-    """Drive all schedulers through one random push/pop stream,
-    asserting pop-for-pop equality, and drain them at the end."""
+    Every callback draws from one RNG, so two engines that dispatch in
+    the same order consume identical draws and write identical logs;
+    the first event out of order shows up as a divergence in the log.
+    Callbacks spawn children (``schedule``, and ``schedule_at`` on a
+    10 ms grid so that many events share a timestamp and FIFO order
+    among them is compared too) and cancel random pending events; the
+    run advances in random ``run(until)`` slices, each with one event
+    due exactly at its end, and ends with ``run_until_empty``.
+    """
     rng = random.Random(seed)
-    now, seq = 0.0, 0
-    for _ in range(n_ops):
-        if rng.random() < 0.55:
-            horizon = rng.choice([1e-4, 5e-3, 0.3, 2.0, 80.0, 2e4, 1e7])
-            time = now + rng.random() * horizon
-            seq += 1
-            for sched in schedulers:
-                sched.push(_entry(time, seq))
-        elif rng.random() < 0.5:
-            until = now + rng.random() * 0.5
-            popped = [sched.pop_due(until) for sched in schedulers]
-            assert all(p == popped[0] for p in popped)
-            if popped[0] is not None:
-                now = popped[0][0]
+    log = []
+    live = {}                   # tag -> handle of a still-pending event
+    tags = iter(range(10**9))
+
+    def spawn(depth, at=None):
+        tag = next(tags)
+        delay = rng.random() * rng.choice(HORIZONS)
+        if at is None and rng.random() < 0.3:
+            at = math.ceil((sim.now + delay) * 100) / 100
+        if at is None:
+            live[tag] = sim.schedule(delay, fire, tag, depth)
         else:
-            popped = [sched.pop_next() for sched in schedulers]
-            assert all(p == popped[0] for p in popped)
-            if popped[0] is not None:
-                now = popped[0][0]
-    while True:
-        popped = [sched.pop_next() for sched in schedulers]
-        assert all(p == popped[0] for p in popped)
-        if popped[0] is None:
-            break
-    for sched in schedulers:
-        assert len(sched) == 0
+            live[tag] = sim.schedule_at(at, fire, tag, depth)
+
+    def fire(tag, depth):
+        del live[tag]
+        log.append((sim.now, tag))
+        if depth < 3:
+            for _ in range(rng.randint(0, 2)):
+                spawn(depth + 1)
+        if live and rng.random() < 0.2:
+            live.pop(rng.choice(sorted(live))).cancel()
+
+    for _ in range(n_roots):
+        spawn(0)
+    until = 0.0
+    for _ in range(n_slices):
+        until += rng.random() * rng.choice(HORIZONS[:5])
+        spawn(0, at=until)
+        sim.run(until=until)
+        log.append(("slice", sim.now, sim.pending_events,
+                    sim.events_processed))
+    sim.run_until_empty()
+    log.append(("end", sim.now, sim.pending_events, sim.events_processed))
+    return log
 
 
-class TestKernelPopOrder:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_compiled_kernels_match_pure_schedulers(self, seed):
-        _random_interleaving(
-            [HeapScheduler(), WheelScheduler(tick=1e-3),
-             _kernels.HeapKernel(), _kernels.WheelKernel(tick=1e-3)],
-            seed)
-
-    def test_dump_refill_round_trip_across_implementations(self):
-        wheel = _kernels.WheelKernel(tick=1e-3)
-        entries = [_entry(t, i) for i, t in
-                   enumerate([0.5, 0.0001, 3.0, 90.0, 1e5, 0.5])]
-        for entry in entries:
-            wheel.push(entry)
-        heap = _kernels.HeapKernel()
-        heap.refill(wheel.dump())
-        assert len(wheel) == 0 and wheel.pop_next() is None
-        popped = [heap.pop_next() for _ in range(len(entries))]
-        assert popped == sorted(entries, key=lambda e: (e[0], e[1]))
-
-    def test_wheel_tick_validation(self):
-        with pytest.raises(ValueError, match="tick"):
-            _kernels.WheelKernel(tick=0.0)
+@pytest.mark.parametrize("seed", range(5))
+def test_compiled_engine_matches_pure_engine(seed):
+    runs = []
+    for compiled in (False, True):
+        trace = []
+        sim = Simulator(compiled=compiled,
+                        trace=lambda t, fn, args, trace=trace:
+                        trace.append((t, fn.__qualname__, len(args))))
+        assert sim.compiled is compiled
+        runs.append((_random_run(sim, seed), trace))
+    (pure_log, pure_trace), (core_log, core_trace) = runs
+    assert len(pure_trace) > 500        # real work, cancellations included
+    times = [t for t, _, _ in pure_trace]
+    assert len(times) - len(set(times)) > 20    # timestamp ties happen
+    assert any(entry[0] == "slice" and entry[2] for entry in pure_log)
+    assert core_log == pure_log
+    assert core_trace == pure_trace
 
 
 class TestEngineCoreContract:
-    def test_threshold_and_period_validation(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            _kernels.EngineCore("auto", promote=16, demote=16)
-        with pytest.raises(ValueError, match="period"):
-            _kernels.EngineCore("auto", period=0)
-        with pytest.raises(ValueError, match="tick"):
-            _kernels.EngineCore("wheel", tick=0.0)
+    def test_trace_is_the_only_argument(self):
+        with pytest.raises(TypeError):
+            _kernels.EngineCore("heap")
+        assert len(_kernels.EngineCore(trace=None)) == 0
 
     def test_error_messages_match_the_pure_engine(self):
-        core = _kernels.EngineCore("heap")
+        core = _kernels.EngineCore()
         with pytest.raises(ValueError) as excinfo:
             core.schedule(-1.0, print)
         assert str(excinfo.value) == \
@@ -100,7 +109,7 @@ class TestEngineCoreContract:
             "cannot schedule at 1.0 before now (5.0)"
 
     def test_budget_guard_message(self):
-        core = _kernels.EngineCore("auto")
+        core = _kernels.EngineCore()
 
         def forever():
             core.schedule(1.0, forever)
@@ -110,76 +119,8 @@ class TestEngineCoreContract:
                            match="run_until_empty exceeded 100 events"):
             core.run_until_empty(max_events=100)
 
-
-def _run_random_workload(schedule, now, seed, log, n_roots=250):
-    """Self-expanding random event tree, identical for any engine."""
-    rng = random.Random(seed)
-
-    def fire(tag, depth):
-        log.append((now(), tag, depth))
-        if depth < 3:
-            for child in range(rng.randint(0, 2)):
-                schedule(rng.random() * rng.choice([1e-3, 0.1, 5.0]),
-                         fire, f"{tag}.{child}", depth + 1)
-
-    for i in range(n_roots):
-        schedule(rng.random() * 10.0, fire, f"root{i}", 0)
-
-
-class TestEngineCoreTraceIdentity:
-    @pytest.mark.parametrize("backend", ["heap", "wheel", "auto"])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_compiled_engine_matches_pure_engine(self, backend, seed):
-        pure_log, pure_trace = [], []
-        sim = Simulator(backend, compiled=False,
-                        trace=lambda t, fn, args: pure_trace.append(
-                            (t, len(args))))
-        _run_random_workload(sim.schedule, lambda: sim.now, seed,
-                             pure_log)
-        sim.run(until=8.0)
-        sim.run_until_empty()
-
-        core_log, core_trace = [], []
-        core = _kernels.EngineCore(
-            backend, trace=lambda t, fn, args: core_trace.append(
-                (t, len(args))))
-        _run_random_workload(core.schedule, lambda: core.now, seed,
-                             core_log)
-        core.run(until=8.0)
-        core.run_until_empty()
-
-        assert pure_log == core_log
-        assert pure_trace == core_trace
-        assert sim.events_processed == core.events_processed
-        assert sim.now == core.now
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_forced_migrations_keep_the_trace(self, seed):
-        """The compiled auto engine with thresholds tuned to migrate
-        constantly still dispatches the pure heap engine's trace —
-        migration is unobservable, as for the pure AdaptiveScheduler.
-        """
-        pure_log = []
-        sim = Simulator("heap", compiled=False)
-        _run_random_workload(sim.schedule, lambda: sim.now, seed,
-                             pure_log)
-        sim.run_until_empty()
-
-        core_log = []
-        core = _kernels.EngineCore("auto", promote=48, demote=12,
-                                   period=4)
-        _run_random_workload(core.schedule, lambda: core.now, seed,
-                             core_log)
-        core.run_until_empty()
-
-        assert pure_log == core_log
-        # The thresholds above really forced crossings — otherwise
-        # this proves nothing about migration.
-        assert core.migrations >= 2
-        assert sim.events_processed == core.events_processed
-
     def test_cancelled_events_are_skipped_and_recycled(self):
-        core = _kernels.EngineCore("heap")
+        core = _kernels.EngineCore()
         log = []
         event = core.schedule(1.0, log.append, "no")
         keep = core.schedule(2.0, log.append, "yes")

@@ -137,10 +137,9 @@ def _asymmetric_paths(sim, *, loss_rate=0.0, seed=None):
 
 
 def _finite_transfer(scheduler, *, size=40, loss_rate=0.0, seed=None,
-                     algorithm="olia", backend="heap", trace=None,
-                     horizon=30.0):
+                     algorithm="olia", trace=None, horizon=30.0):
     """One finite MPTCP transfer; returns (connection, completions)."""
-    sim = Simulator(backend, trace=trace) if trace else Simulator(backend)
+    sim = Simulator(trace=trace)
     done = []
     conn = MptcpConnection(
         sim, algorithm, _asymmetric_paths(sim, loss_rate=loss_rate,
@@ -160,10 +159,9 @@ class TestSchedulerGate:
         assert done == [conn.transfer_time]
         assert 0 < conn.transfer_time < 30.0
 
-    @pytest.mark.parametrize("backend", ("heap", "wheel"))
-    def test_default_scheduler_is_minrtt_byte_for_byte(self, backend):
+    def test_default_scheduler_is_minrtt_byte_for_byte(self):
         """``scheduler=None`` and ``scheduler='minrtt'`` are the same
-        simulation, event for event, on both engine backends."""
+        simulation, event for event."""
         traces = []
         for scheduler in (None, "minrtt"):
             lines = []
@@ -173,8 +171,7 @@ class TestSchedulerGate:
                     f"{time!r} {getattr(fn, '__qualname__', repr(fn))} "
                     f"{len(args)}")
 
-            conn, _ = _finite_transfer(scheduler, backend=backend,
-                                       trace=hook)
+            conn, _ = _finite_transfer(scheduler, trace=hook)
             traces.append((lines, conn.transfer_time))
         (default_trace, default_time), (named_trace, named_time) = traces
         assert default_time == named_time

@@ -1,153 +1,25 @@
-"""Unit and property tests for the scheduler backends and the Timer.
+"""Unit tests for the Timer and the Simulator's ``scheduler`` argument.
 
-The timer wheel's correctness contract is *exact order equivalence*
-with the binary heap: any interleaving of pushes and pops must come
-back in identical ``(time, seq)`` order.  The randomized tests below
-drive both backends with the same operation streams — mixed horizons
-(sub-tick to overflow-range), bursts, draining runs — and require
-identical pop sequences.
+``"auto"`` and ``"heap"`` are the accepted names of the one event store
+(a binary heap); every other name is rejected loudly.
 """
-
-import random
 
 import pytest
 
 from repro.sim import Simulator, Timer
-from repro.sim.scheduler import HeapScheduler, WheelScheduler
-
-
-def _entry(time, seq):
-    # Same shape the engine uses; fn/args/event unused by the scheduler.
-    return (time, seq, None, (), None)
-
-
-class TestWheelAgainstHeap:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_push_pop_interleaving(self, seed):
-        rng = random.Random(seed)
-        wheel = WheelScheduler(tick=1e-3)
-        heap = HeapScheduler()
-        seq = 0
-        now = 0.0
-        for _ in range(3000):
-            if rng.random() < 0.6:
-                # Mixed horizons: same-tick, near, far, overflow-range.
-                horizon = rng.choice([1e-4, 5e-3, 0.3, 2.0, 80.0, 2e4])
-                time = now + rng.random() * horizon
-                seq += 1
-                wheel.push(_entry(time, seq))
-                heap.push(_entry(time, seq))
-            else:
-                a, b = wheel.pop_next(), heap.pop_next()
-                assert a == b
-                if a is not None:
-                    assert a[0] >= now
-                    now = a[0]
-        # Drain completely; the tails must match too.
-        while True:
-            a, b = wheel.pop_next(), heap.pop_next()
-            assert a == b
-            if a is None:
-                break
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pop_due_equivalence(self, seed):
-        rng = random.Random(100 + seed)
-        wheel = WheelScheduler(tick=1e-3)
-        heap = HeapScheduler()
-        seq = 0
-        now = 0.0
-        for _ in range(60):
-            for _ in range(rng.randrange(40)):
-                time = now + rng.random() * rng.choice([1e-3, 0.5, 40.0])
-                seq += 1
-                wheel.push(_entry(time, seq))
-                heap.push(_entry(time, seq))
-            until = now + rng.random() * 5.0
-            while True:
-                a, b = wheel.pop_due(until), heap.pop_due(until)
-                assert a == b
-                if a is None:
-                    break
-                now = a[0]
-            now = max(now, until)
-
-    def test_fifo_within_one_tick(self):
-        wheel = WheelScheduler(tick=1e-3)
-        for seq in range(10):
-            wheel.push(_entry(0.0005, seq))
-        order = [wheel.pop_next()[1] for _ in range(10)]
-        assert order == list(range(10))
-
-    def test_far_future_entries_round_trip_the_overflow(self):
-        wheel = WheelScheduler(tick=1e-3)
-        # Beyond the level-2 span (~4.6 h at 1 ms ticks) -> overflow heap.
-        wheel.push(_entry(50_000.0, 1))
-        wheel.push(_entry(20_000.0, 2))
-        wheel.push(_entry(0.01, 3))
-        assert [wheel.pop_next()[1] for _ in range(3)] == [3, 2, 1]
-        assert wheel.pop_next() is None
-
-    @pytest.mark.parametrize("far", [0.3, 7.0, 65.0, 66.0, 4000.0,
-                                     16000.0, 17000.0, 60000.0])
-    def test_lone_far_entry_jumps_stay_ordered(self, far):
-        """Horizons straddling every level/window boundary: the
-        occupancy-mask jumps must not overshoot entries still parked in
-        a parent slot (regression test for the window-crossing jump)."""
-        wheel = WheelScheduler(tick=1e-3)
-        heap = HeapScheduler()
-        for seq, time in enumerate([0.001, far, far + 1e-4, far * 2]):
-            wheel.push(_entry(time, seq))
-            heap.push(_entry(time, seq))
-        while True:
-            a, b = wheel.pop_next(), heap.pop_next()
-            assert a == b
-            if a is None:
-                break
-
-    def test_push_behind_cursor_still_ordered(self):
-        """After a far hunt, near pushes land behind the cursor (the
-        documented heap-degeneration regime) but order is preserved."""
-        wheel = WheelScheduler(tick=1e-3)
-        wheel.push(_entry(100.0, 1))
-        assert wheel.pop_due(1.0) is None      # hunts the cursor forward
-        wheel.push(_entry(0.5, 2))
-        wheel.push(_entry(0.25, 3))
-        assert wheel.pop_due(1.0)[1] == 3
-        assert wheel.pop_due(1.0)[1] == 2
-        assert wheel.pop_due(1.0) is None
-        assert wheel.pop_next()[1] == 1
-
-    def test_len_tracks_pushes_and_pops(self):
-        wheel = WheelScheduler(tick=1e-3)
-        assert len(wheel) == 0
-        for seq, time in enumerate([0.1, 3.0, 90.0, 1e5]):
-            wheel.push(_entry(time, seq))
-        assert len(wheel) == 4
-        wheel.pop_next()
-        assert len(wheel) == 3
-
-    def test_rejects_non_positive_tick(self):
-        with pytest.raises(ValueError):
-            WheelScheduler(tick=0.0)
 
 
 class TestSimulatorBackendSelection:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert Simulator().scheduler_name == "auto"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-        assert Simulator().scheduler_name == "heap"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-        assert Simulator("wheel").scheduler_name == "wheel"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="fibheap"):
             Simulator("fibheap")
+
+    def test_wheel_is_gone(self):
+        """The removed timer wheel is an unknown name like any other;
+        the message lists what is accepted."""
+        with pytest.raises(ValueError) as excinfo:
+            Simulator("wheel")
+        assert "'auto', 'heap'" in str(excinfo.value)
 
 
 class TestTimer:
@@ -247,7 +119,7 @@ class TestTimer:
         with pytest.raises(ValueError):
             timer.arm_at(1.0)
 
-    @pytest.mark.parametrize("backend", ["heap", "wheel", "auto"])
+    @pytest.mark.parametrize("backend", ["heap", "auto"])
     def test_same_firing_sequence_on_both_backends(self, backend):
         sim = Simulator(backend)
         fired = []

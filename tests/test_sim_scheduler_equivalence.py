@@ -1,14 +1,12 @@
-"""Property test: wheel, heap and auto runs of a full DES scenario are
-trace-identical.
+"""Property test: full DES scenarios are trace-identical run to run.
 
-The scheduler contract (``repro.sim.scheduler``) is that the timer
-wheel — and the adaptive backend, through any of its migrations — pops
-entries in exactly the heap's ``(time, seq)`` order, which makes
-*whole simulations* backend-independent: same event sequence, same RNG
-draws, same floats everywhere.  This test runs the paper's scenario A
-— MPTCP bulk transfers through a shared AP competing with regular TCP,
-RED queues, staggered random starts — under every backend across seeds
-and requires
+The engine dispatches in exact ``(time, seq)`` order, which makes whole
+simulations deterministic: same event sequence, same RNG draws, same
+floats everywhere.  This test runs the paper's scenario A — MPTCP bulk
+transfers through a shared AP competing with regular TCP, RED queues,
+staggered random starts — under both accepted ``scheduler`` names and
+on both engines (pure python and, when built, the compiled core),
+across seeds, and requires
 
 * the dispatched event traces to be identical (time, callback, and
   argument shape of every single event), and
@@ -22,13 +20,14 @@ import pytest
 
 from repro.experiments.runner import measure, staggered_starts
 from repro.sim import BulkTransfer, Simulator
-from repro.sim.scheduler import COMPILED_AVAILABLE
+from repro.sim.engine import COMPILED_AVAILABLE
 from repro.topology.scenarios import build_scenario_a
 
 
 def _run_scenario_a(backend: str, seed: int, trace: list,
                     compiled=None):
-    """One scenario-A run on the given backend, recording its trace."""
+    """One scenario-A run under a ``scheduler`` name, recording its
+    trace."""
     def hook(time, fn, args):
         trace.append((time, getattr(fn, "__qualname__", repr(fn)),
                       len(args)))
@@ -54,14 +53,14 @@ def _run_scenario_a(backend: str, seed: int, trace: list,
     return sim, result
 
 
-@pytest.mark.parametrize("backend", ["wheel", "auto"])
+@pytest.mark.parametrize("backend", ["auto"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scenario_a_trace_identical_across_backends(seed, backend):
     heap_trace, other_trace = [], []
     heap_sim, heap_result = _run_scenario_a("heap", seed, heap_trace)
     other_sim, other_result = _run_scenario_a(backend, seed, other_trace)
 
-    # The runs did real work (thousands of events), on both backends.
+    # The runs did real work (thousands of events), under both names.
     assert heap_sim.events_processed > 1000
     assert heap_sim.events_processed == other_sim.events_processed
 
@@ -80,22 +79,21 @@ def test_scenario_a_traces_differ_across_seeds():
     """Sanity: the equality above is not vacuous — different seeds give
     different traces, so identical traces really mean determinism."""
     trace_a, trace_b = [], []
-    _run_scenario_a("wheel", 1, trace_a)
-    _run_scenario_a("wheel", 2, trace_b)
+    _run_scenario_a("heap", 1, trace_a)
+    _run_scenario_a("heap", 2, trace_b)
     assert trace_a != trace_b
 
 
 @pytest.mark.skipif(not COMPILED_AVAILABLE,
                     reason="compiled kernels not built")
-@pytest.mark.parametrize("backend", ["heap", "wheel", "auto"])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_scenario_a_compiled_engine_matches_pure(seed, backend):
+def test_scenario_a_compiled_engine_matches_pure(seed):
     """The compiled EngineCore is trace-identical to the pure loop on
-    the full scenario-A workload — every backend, entry by entry."""
+    the full scenario-A workload, entry by entry."""
     pure_trace, compiled_trace = [], []
-    pure_sim, pure_result = _run_scenario_a(backend, seed, pure_trace,
+    pure_sim, pure_result = _run_scenario_a("heap", seed, pure_trace,
                                             compiled=False)
-    comp_sim, comp_result = _run_scenario_a(backend, seed,
+    comp_sim, comp_result = _run_scenario_a("heap", seed,
                                             compiled_trace,
                                             compiled=True)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.sim import (DropTailQueue, Link, MptcpConnection, PathSpec,
                        Simulator, single_path_tcp)
-from repro.sim.scheduler import COMPILED_AVAILABLE
+from repro.sim.engine import COMPILED_AVAILABLE
 
 
 class ScriptedLink(Link):
