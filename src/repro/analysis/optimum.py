@@ -12,6 +12,10 @@ via SLSQP, reusing the :class:`~repro.fluid.network.FluidNetwork`
 structure (capacities are taken from each link's loss model).  It is used
 to cross-check the closed forms and to compute optimum baselines for
 topologies without a closed form (e.g. FatTrees).
+
+SLSQP comes from scipy, the package's ``scipy`` extra; it is imported
+when :func:`proportional_fair` runs, so importing this module (and
+everything that imports :mod:`repro.analysis`) works without it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.fluid.network import FluidNetwork
 
@@ -44,8 +47,15 @@ def proportional_fair(network: FluidNetwork, *,
 
     ``floor_packets`` is the minimum window in packets; route ``r`` must
     carry at least ``floor_packets / rtt_r``.  Raises ``ValueError`` if
-    the floors alone violate a capacity constraint.
+    the floors alone violate a capacity constraint, and ``ImportError``
+    when scipy (the ``scipy`` extra) is not installed.
     """
+    try:
+        from scipy import optimize
+    except ImportError as exc:
+        raise ImportError(
+            "proportional_fair needs scipy: install the package's scipy "
+            "extra (pip install '.[scipy]')") from exc
     n_routes = network.n_routes
     rtts = network.rtt_array()
     floor = (floor_packets / rtts if floor_packets > 0

@@ -585,11 +585,16 @@ def _newton(fmap, z, evals, budget: int, tol: float,
         retire(evals + n + _BACKTRACKS + 2 > budget, _BUDGET, norm)
         if not len(rows):
             return run
-        jacobian = np.empty((len(z), n, n))
+        # All n columns in one call: block j of the stacked rows is every
+        # row bumped in unknown j (row-wise maps, so the same numbers as
+        # n calls).
+        m = len(z)
+        bumped = np.tile(z, (n, 1))
         for j in range(n):
-            bumped = z.copy()
-            bumped[:, j] += _FD_STEP
-            jacobian[:, :, j] = (fmap(bumped)[0] - residual) / _FD_STEP
+            bumped[j * m:(j + 1) * m, j] += _FD_STEP
+        stacked = fmap.take(np.tile(np.arange(m), n))(bumped)[0]
+        jacobian = ((stacked.reshape(n, m, n) - residual)
+                    / _FD_STEP).transpose(1, 2, 0)
         evals += n
         step = _solve_rows(jacobian, -residual)
         step *= np.minimum(

@@ -27,7 +27,9 @@ interpreter between events.  The pure-python loop remains the
 reference: both dispatch identical ``(time, seq)`` traces (enforced by
 the golden traces and ``tests/test_sim_kernels.py``),
 ``REPRO_SIM_COMPILED=0`` or ``Simulator(compiled=False)`` forces the
-pure path, and a missing extension is never an error.
+pure path, and a missing extension is never an error.  The same switch
+picks the link: a compiled Simulator gets the compiled
+:class:`~repro.sim._kernels.Link` (see :mod:`repro.sim.link`).
 """
 
 from __future__ import annotations

@@ -16,6 +16,15 @@ held one pending event per packet in flight, which on a long-delay link
 is a bandwidth-delay product's worth of heap entries per link; the
 service-loop shape keeps the engine's pending set proportional to
 the number of *links*, not packets.
+
+On a compiled engine, ``Link(sim, ...)`` returns the compiled twin,
+:class:`repro.sim._kernels.Link`: the same link with ``receive``, both
+service-loop events and a drop-tail queue in C, scheduling straight
+into the engine core and handing packets C to C along a path of C
+links.  Every dispatched event, float and RNG draw is the one this
+class makes.  This class stays the reference and carries the pure
+engine and every subclass; the compiled ``stats`` is a C
+``LinkStats`` with the same fields and methods.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from .engine import Simulator
+from .engine import Simulator, _compiled
 from .packet import Packet
 from .queues import DropTailQueue
 
@@ -80,6 +89,11 @@ class Link:
                  "name", "loss_rate", "loss_rng", "_busy", "_pipe",
                  "_pipe_idle", "_schedule", "_schedule_at")
     # fmt: on
+
+    def __new__(cls, sim: Simulator, *args, **kwargs):
+        if cls is Link and sim.compiled:
+            return _compiled.Link(sim, *args, **kwargs)
+        return super().__new__(cls)
 
     def __init__(
         self,

@@ -144,13 +144,19 @@ class _SchedulerGate:
         return False
 
     def kick(self) -> None:
-        """Poke every subflow's send loop (new grants may be possible)."""
+        """Poke the send loop of every subflow with window space.
+
+        A subflow with a full window is skipped: its ``_try_send``
+        would be a no-op (its ``seq >= limit``, ``has_data`` grants
+        only to the ready set it is not in, and the sibling poke is
+        suppressed while kicking), given a pure ``choose``.
+        """
         if self.completed or self._kicking:
             return
         self._kicking = True
         try:
             for sf in list(self.connection.subflows):
-                if sf.started and not sf.completed:
+                if sf.started and not sf.completed and self._has_space(sf):
                     sf._try_send()
         finally:
             self._kicking = False

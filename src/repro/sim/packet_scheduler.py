@@ -77,6 +77,12 @@ class PacketScheduler:
         each with window space and data pending.  Must return one of
         them; determinism (same choice for the same observable state)
         is required for trace reproducibility.
+
+        Must be *pure*: no side effects, state changes belong in
+        :meth:`on_grant`.  The gate may ask and then grant nothing,
+        and it skips asking on behalf of subflows whose window is full
+        (``_SchedulerGate.kick``), which is only invisible when asking
+        changes nothing.
         """
         raise NotImplementedError
 

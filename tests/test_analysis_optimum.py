@@ -1,10 +1,16 @@
 """Tests for the generic proportional-fair NUM solver."""
 
+import importlib.util
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.analysis import proportional_fair
 from repro.fluid import FluidNetwork, SharpLoss
+
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def scenario_c_net(n1=4, n2=4, c1=100.0, c2=100.0, rtt=0.15):
@@ -21,6 +27,27 @@ def scenario_c_net(n1=4, n2=4, c1=100.0, c2=100.0, rtt=0.15):
     return net
 
 
+class TestScipyIsOptional:
+    """scipy is the ``scipy`` extra: every package a sweep worker or a
+    dist point imports loads without it, and the one solver that needs
+    it says so when called."""
+
+    def test_packages_import_without_scipy(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.analysis, repro.experiments, repro.dist\n"
+            "from repro.analysis import proportional_fair\n"
+            "try:\n"
+            "    proportional_fair(None)\n"
+            "except ImportError as exc:\n"
+            "    assert 'scipy extra' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('proportional_fair ran without scipy')\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy (the scipy extra) absent")
 class TestProportionalFair:
     def test_single_link_equal_split(self):
         net = FluidNetwork()
