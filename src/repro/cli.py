@@ -15,11 +15,11 @@ smoke checks); without it they use the benchmark defaults.  ``--jobs N``
 fans sweep-shaped experiments out over N worker processes without
 changing any number in the tables.  ``--resume DIR`` caches every sweep
 point under DIR so an interrupted run picks up where it stopped, and
-``--shard I/N`` computes only every N-th point (cells owned by other
-shards print as PENDING until their shard has run against the same
-``--resume`` directory); ``--shard steal`` claims cache-missing points
-dynamically through lock files in the resume directory, so any number
-of concurrent runs balance a grid of unevenly expensive points.
+``--serve HOST:PORT`` (with ``--resume``) puts each grid's cache-missing
+points on a sweep coordinator at that address: the run works them
+itself while ``python -m repro sweep work --connect HOST:PORT``
+processes on other hosts lease from the same queue and stream their
+results back over TCP.
 ``algorithms`` prints each registered algorithm's per-layer support
 (packet / fluid / equilibrium / smt, from the cross-layer registry in
 ``repro.core.registry``) and with ``--check`` runs a tiny scenario-A
@@ -35,17 +35,13 @@ workloads' algorithm mix.
 ``python -m repro scale --preset medium``) through the DES engine and
 writes ``BENCH_scale.json`` (see docs/PERFORMANCE.md and
 docs/REPRODUCING.md).
-``--claim-ttl SECONDS`` (on ``run``, ``scale`` and the sweep fabric
-verbs) reaps abandoned ``.claim`` lock files older than the TTL, so a
-hard-killed ``--shard steal`` run never parks points forever; the
-single-host default stays ``None`` (claims outlive crashes until
-released) while the distributed fabric defaults to a finite TTL.
 ``sweep serve`` / ``sweep work`` / ``sweep bench`` run the distributed
-sweep fabric: a coordinator that owns a grid manifest and leases point
-batches over newline-delimited JSON, workers that execute and stream
-results back, and the 1-vs-2-vs-4-worker scaling benchmark behind
-``BENCH_dist.json`` (see docs/ARCHITECTURE.md, "The distributed sweep
-fabric").
+sweep fabric on its own: a coordinator that owns the scheduler x CC
+family grid and leases point batches over newline-delimited JSON,
+workers that execute and stream results back (the same workers a
+``--serve`` run takes), and the 1-vs-2-vs-4-worker scaling benchmark
+behind ``BENCH_dist.json`` (see docs/ARCHITECTURE.md, "The distributed
+sweep fabric").
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ import sys
 import time
 from typing import Callable, Dict
 
+from .dist.protocol import parse_hostport
 from .experiments import (
     ablation,
     calibration,
@@ -162,22 +159,6 @@ def _parse_names(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _parse_shard(text: str):
-    """Parse ``--shard I/N`` (or ``--shard steal``)."""
-    if text == "steal":
-        return "steal"
-    try:
-        index, count = text.split("/")
-        shard = (int(index), int(count))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected INDEX/COUNT (e.g. 0/4) or 'steal', got {text!r}")
-    if shard[1] < 1 or not 0 <= shard[0] < shard[1]:
-        raise argparse.ArgumentTypeError(
-            f"need 0 <= INDEX < COUNT, got {text!r}")
-    return shard
-
-
 def _sweep_options() -> argparse.ArgumentParser:
     """Parent parser: how ``run`` and ``scale`` execute their grids."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -188,19 +169,13 @@ def _sweep_options() -> argparse.ArgumentParser:
                         help="cache every sweep point under DIR; "
                              "re-running with the same DIR skips completed "
                              "points (resumable sweeps)")
-    parent.add_argument("--shard", metavar="I/N", type=_parse_shard,
-                        default=None,
-                        help="compute only sweep points with index %% N "
-                             "== I ('steal' claims cache-missing points "
-                             "dynamically via lock files instead — best "
-                             "when point costs vary wildly); requires "
-                             "--resume so the shards can merge their "
-                             "results")
-    parent.add_argument("--claim-ttl", type=float, default=None,
-                        metavar="SECONDS",
-                        help="reap .claim lock files older than SECONDS "
-                             "as abandoned by a dead run (default: never "
-                             "— claims persist until released)")
+    parent.add_argument("--serve", metavar="HOST:PORT", default=None,
+                        help="lease each grid's cache-missing points from "
+                             "a sweep coordinator bound to HOST:PORT: "
+                             "this run works them and 'sweep work "
+                             "--connect HOST:PORT' processes on other "
+                             "hosts help (requires --resume, the cache "
+                             "the grid completes into)")
     return parent
 
 
@@ -210,17 +185,19 @@ def _sweep_runner(args) -> SweepRunner | None:
     if args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
         return None
-    if args.shard is not None and args.resume is None and (
-            args.shard == "steal" or args.shard[1] > 1):
-        print("--shard requires --resume DIR: the shared cache is how the "
-              "shards' results are merged", file=sys.stderr)
-        return None
-    if args.claim_ttl is not None and not args.claim_ttl > 0:
-        print(f"--claim-ttl must be > 0 seconds (got {args.claim_ttl})",
-              file=sys.stderr)
-        return None
-    return SweepRunner(jobs=args.jobs, cache_dir=args.resume,
-                       shard=args.shard, claim_ttl=args.claim_ttl)
+    serve = None
+    if args.serve is not None:
+        if args.resume is None:
+            print("--serve requires --resume DIR: the coordinator completes "
+                  "the grid into it and the run reads the results back",
+                  file=sys.stderr)
+            return None
+        try:
+            serve = parse_hostport(args.serve)
+        except ValueError as exc:
+            print(f"--serve: {exc}", file=sys.stderr)
+            return None
+    return SweepRunner(jobs=args.jobs, cache_dir=args.resume, serve=serve)
 
 
 def _report_dir_exists(output: str) -> bool:
@@ -386,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the coordinator: own the grid manifest, lease point "
              "batches to workers over newline-delimited JSON, write "
-             "results into the shared cache, reap dead workers")
+             "results into its cache, reap dead workers")
     fabric_serve.add_argument("--cache-dir", required=True, metavar="DIR",
-                              help="shared content-hash cache the sweep "
+                              help="content-hash cache the sweep "
                                    "completes into (the SweepRunner "
                                    "--resume layout; restarting with the "
                                    "same DIR resumes)")
@@ -398,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_serve.add_argument("--port", type=int, default=None,
                               help="TCP port (default: 8653; 0 picks an "
                                    "ephemeral port and prints it)")
-    fabric_serve.add_argument("--spill", metavar="DIR", default=None,
-                              help="load the grid from a write_shards "
-                                   "spill directory instead of the "
-                                   "family-grid options below")
     fabric_serve.add_argument("--families", default=None, metavar="LIST",
                               help="comma-separated scenario families "
                                    "(default: wired,dual_lte,wifi_lte,"
@@ -418,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seeds per grid cell (default: 125 — "
                                    "the full 10k-point grid at the "
                                    "default axes)")
-    fabric_serve.add_argument("--claim-ttl", type=float, default=None,
-                              metavar="SECONDS",
-                              help="claim-file TTL advertised to "
-                                   "workers (default: 300 — finite in "
-                                   "distributed mode so a hard-killed "
-                                   "worker never parks points forever)")
     fabric_serve.add_argument("--lease-size", type=int, default=None,
                               metavar="K",
                               help="points per lease (default: 8)")
@@ -446,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "the cache (default: resume them)")
     fabric_work = sweep_sub.add_parser(
         "work",
-        help="run a worker: register with a coordinator, lease point "
-             "batches, execute, stream results back; reconnects with "
-             "backoff when the coordinator goes away")
+        help="run a worker: register with a coordinator ('sweep serve' "
+             "or a 'run'/'scale' with --serve), lease point batches, "
+             "execute, stream results back; reconnects with backoff "
+             "when the coordinator goes away")
     fabric_work.add_argument("--connect", required=True,
                              metavar="HOST:PORT",
                              help="the coordinator (bare HOST uses the "
@@ -456,15 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_work.add_argument("--jobs", type=int, default=1, metavar="N",
                              help="local worker processes per lease "
                                   "(default: 1, in-process)")
-    fabric_work.add_argument("--cache-dir", metavar="DIR", default=None,
-                             help="optional shared-filesystem cache: "
-                                  "serve already-cached points without "
-                                  "recomputing and take .claim files "
-                                  "against concurrent local runs")
-    fabric_work.add_argument("--claim-ttl", type=float, default=None,
-                             metavar="SECONDS",
-                             help="override the coordinator-advertised "
-                                  "claim TTL (only with --cache-dir)")
     fabric_work.add_argument("--name", default=None,
                              help="worker name in coordinator status "
                                   "output (default: host-pid)")
@@ -526,35 +485,24 @@ def _sweep_fabric(args) -> int:
     import json
 
     from .dist import (DEFAULT_PORT, JsonLineConnection, SweepCoordinator,
-                       SweepWorker, parse_hostport)
+                       SweepWorker)
     from .dist.coordinator import DEFAULT_LINGER
     from .dist import bench as dist_bench
 
     if args.sweep_command == "serve":
-        from .experiments.sweep import load_all_specs
-        if args.spill is not None:
-            try:
-                specs = load_all_specs(args.spill)
-            except (OSError, ValueError) as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-        else:
-            try:
-                specs = dist_bench.build_dist_grid(
-                    families=_parse_names(args.families)
-                    or dist_bench.DIST_FAMILIES,
-                    schedulers=_parse_names(args.schedulers)
-                    or dist_bench.DIST_SCHEDULERS,
-                    algorithms=_parse_names(args.algorithms)
-                    or dist_bench.DIST_ALGORITHMS,
-                    seeds=args.seeds or dist_bench.DEFAULT_SEEDS)
-            except (KeyError, ValueError) as exc:
-                print(str(exc.args[0] if exc.args else exc),
-                      file=sys.stderr)
-                return 2
+        try:
+            specs = dist_bench.build_dist_grid(
+                families=_parse_names(args.families)
+                or dist_bench.DIST_FAMILIES,
+                schedulers=_parse_names(args.schedulers)
+                or dist_bench.DIST_SCHEDULERS,
+                algorithms=_parse_names(args.algorithms)
+                or dist_bench.DIST_ALGORITHMS,
+                seeds=args.seeds or dist_bench.DEFAULT_SEEDS)
+        except (KeyError, ValueError) as exc:
+            print(str(exc.args[0] if exc.args else exc), file=sys.stderr)
+            return 2
         knobs = {}
-        if args.claim_ttl is not None:
-            knobs["claim_ttl"] = args.claim_ttl
         if args.lease_size is not None:
             knobs["lease_size"] = args.lease_size
         if args.heartbeat_timeout is not None:
@@ -603,15 +551,12 @@ def _sweep_fabric(args) -> int:
             print(f"--jobs must be >= 1 (got {args.jobs})",
                   file=sys.stderr)
             return 2
-        worker = SweepWorker(host, port, jobs=args.jobs,
-                             cache_dir=args.cache_dir,
-                             claim_ttl=args.claim_ttl, name=args.name,
+        worker = SweepWorker(host, port, jobs=args.jobs, name=args.name,
                              reconnect_attempts=args.reconnect,
                              reconnect_delay=args.reconnect_delay)
         summary = worker.run()
-        print(f"[worker {summary.name}: {summary.points} point(s) "
-              f"({summary.computed} computed, {summary.cache_hits} from "
-              f"cache) over {summary.leases} lease(s) in "
+        print(f"[worker {summary.name}: {summary.computed} point(s) "
+              f"over {summary.leases} lease(s) in "
               f"{summary.wall_seconds:.1f}s; {summary.reason}]")
         if summary.reason != "done":
             print(f"worker gave up: {summary.reason} (after "

@@ -14,7 +14,7 @@
 3. for each requested worker count, start a coordinator on an ephemeral
    localhost port plus N real ``python -m repro sweep work`` worker
    *processes* (the same entry point multi-host deployments use), wait
-   for the grid to drain, and merge the shared cache back into result
+   for the grid to drain, and read the cache back into result
    order;
 4. report points/s per worker count, scaling vs one worker,
    per-added-worker efficiency, reassignment/duplicate counters, and a
@@ -51,7 +51,7 @@ from ..experiments.runner import RunSpec
 from ..experiments.scale import run_family_point
 from ..experiments.sweep import SweepRunner
 from ..serve.store import MISSING, ResultStore
-from .coordinator import DEFAULT_CLAIM_TTL, CoordinatorThread, SweepCoordinator
+from .coordinator import CoordinatorThread, SweepCoordinator
 
 __all__ = [
     "DIST_ALGORITHMS",
@@ -180,8 +180,7 @@ def _run_fabric(specs: Sequence[RunSpec], n_workers: int, *,
         # interpreter is up: the coordinator is told how many to expect
         # and stays until each has heard "done" (or all have exited).
         coordinator = SweepCoordinator(
-            specs, cache_dir, claim_ttl=DEFAULT_CLAIM_TTL, resume=False,
-            expected_workers=n_workers)
+            specs, cache_dir, resume=False, expected_workers=n_workers)
         thread = CoordinatorThread(coordinator, linger=WORKER_START_LINGER)
         port = thread.start()
         started = time.time()

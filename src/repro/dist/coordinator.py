@@ -1,24 +1,23 @@
 """The sweep coordinator: lease out a grid, reap the dead, merge progress.
 
-``python -m repro sweep serve`` runs one of these.  The coordinator owns
-the spec manifest (an ordered list of :class:`RunSpec` points and their
-content hashes) and the shared ``cache_dir``; workers own nothing but
-CPU.  The division of labor keeps every correctness property in the
-places that already guarantee it:
+``python -m repro sweep serve`` runs one of these, and so does
+``SweepRunner(serve=(host, port))`` — the way any paper grid goes
+multi-host.  The coordinator owns the spec manifest (an ordered list of
+:class:`RunSpec` points and their content hashes) and the ``cache_dir``;
+workers own nothing but CPU.  The division of labor keeps every
+correctness property in the places that already guarantee it:
 
 * **completion is the cache entry**, not coordinator state: a point is
   done exactly when ``<hash>.pkl`` is on disk (written atomically
   through :class:`~repro.serve.store.ResultStore`), which is the same
   layout a single-host :class:`~repro.experiments.sweep.SweepRunner`
   resumes from — so a killed coordinator restarted on the same
-  ``cache_dir`` loses zero completed points, and the final merged
-  result list is assembled by any unsharded runner;
+  ``cache_dir`` loses zero completed points, and the final result list
+  is read back from the cache in manifest order;
 * **leases are an optimization**, not a lock: they keep workers off
   each other's points, but a reassigned point racing its presumed-dead
   original owner is harmless because results are content-addressed and
-  written atomically (exactly the ``O_EXCL`` claim-file / ``claim_ttl``
-  argument ``shard="steal"`` already makes — see
-  docs/ARCHITECTURE.md);
+  written atomically — the late copy is acknowledged as a duplicate;
 * **liveness is the connection plus heartbeats**: a worker holds one
   TCP connection for its lifetime, so an EOF requeues its outstanding
   leases immediately (covers ``kill -9`` on the same network), and a
@@ -47,7 +46,6 @@ from ..util.jsonlines import serve_json_lines
 from .protocol import PROTOCOL_VERSION, decode_payload, encode_payload
 
 __all__ = [
-    "DEFAULT_CLAIM_TTL",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "DEFAULT_LEASE_SIZE",
@@ -75,12 +73,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 2.0
 #: executing one).
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 
-#: Default ``claim_ttl`` in distributed mode: finite, so a hard-killed
-#: worker's stale ``.claim`` files (shared-filesystem deployments) never
-#: park points forever.  Single-host ``SweepRunner`` keeps its
-#: ``None``-by-default; the CLI surfaces ``--claim-ttl`` everywhere.
-DEFAULT_CLAIM_TTL = 300.0
-
 #: Seconds a finished coordinator stays up so that workers polling for the
 #: ``done`` flag get their answer.
 DEFAULT_LINGER = 3.0
@@ -100,7 +92,6 @@ class _WorkerState:
     last_seen: float
     alive: bool = True
     completed: int = 0
-    cache_hits: int = 0
     first_result_at: Optional[float] = None
     last_result_at: Optional[float] = None
 
@@ -127,12 +118,8 @@ class SweepCoordinator:
     specs : sequence of RunSpec
         The full grid, in result order (the manifest).
     cache_dir : path-like
-        Shared content-hash cache; completed points are written here
-        (atomic rename via :class:`ResultStore`) and resumed from here.
-    claim_ttl : float, optional
-        Advertised to workers for their local ``.claim`` reaping in
-        shared-filesystem deployments; finite by default in
-        distributed mode (:data:`DEFAULT_CLAIM_TTL`).
+        Content-hash cache; completed points are written here (atomic
+        rename via :class:`ResultStore`) and resumed from here.
     lease_size : int
         Points per lease (workers may ask for fewer).
     heartbeat_timeout : float
@@ -156,7 +143,6 @@ class SweepCoordinator:
 
     def __init__(self, specs: Sequence[RunSpec],
                  cache_dir, *,
-                 claim_ttl: Optional[float] = DEFAULT_CLAIM_TTL,
                  lease_size: int = DEFAULT_LEASE_SIZE,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -177,7 +163,6 @@ class SweepCoordinator:
                 f"(got {heartbeat_timeout} <= {heartbeat_interval})")
         self.hashes = [spec.content_hash() for spec in self.specs]
         self.store = ResultStore(cache_dir, memory_entries=0)
-        self.claim_ttl = claim_ttl
         self.lease_size = lease_size
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -213,7 +198,7 @@ class SweepCoordinator:
 
     # -- resume -----------------------------------------------------------------
     def _scan_cache(self) -> None:
-        """Mark points whose result already sits in the shared cache.
+        """Mark points whose result already sits in the cache.
 
         Reading through :meth:`ResultStore.get` gives torn-entry healing
         for free: a truncated/corrupt ``<hash>.pkl`` (a writer that died
@@ -259,16 +244,14 @@ class SweepCoordinator:
                 self.dead_workers += 1
         return stranded
 
-    def _mark_complete(self, index: int, worker_id: Optional[str],
-                       from_cache: bool) -> None:
+    def _mark_complete(self, index: int, worker_id: str) -> None:
         self._completed.add(index)
         for lease in self._leases.values():
             lease.outstanding.discard(index)
-        state = self._workers.get(worker_id) if worker_id else None
+        state = self._workers.get(worker_id)
         now = time.time()
         if state is not None:
             state.completed += 1
-            state.cache_hits += int(from_cache)
             if state.first_result_at is None:
                 state.first_result_at = now
             state.last_result_at = now
@@ -297,7 +280,6 @@ class SweepCoordinator:
             "completed": len(self._completed),
             "lease_size": self.lease_size,
             "heartbeat_interval": self.heartbeat_interval,
-            "claim_ttl": self.claim_ttl,
             "protocol": PROTOCOL_VERSION,
         }
 
@@ -357,8 +339,7 @@ class SweepCoordinator:
         value = decode_payload(payload["payload"])
         self.store.put(self.hashes[index], value)
         self.results_received += 1
-        self._mark_complete(index, state.worker_id,
-                            bool(payload.get("from_cache", False)))
+        self._mark_complete(index, state.worker_id)
         return {"done": self.done, "duplicate": False}
 
     def _op_heartbeat(self, payload: dict) -> dict:
@@ -404,7 +385,6 @@ class SweepCoordinator:
                 "jobs": state.jobs,
                 "alive": state.alive,
                 "completed": state.completed,
-                "cache_hits": state.cache_hits,
                 "points_per_sec": state.points_per_sec(),
                 "last_seen_age": round(now - state.last_seen, 3),
             }

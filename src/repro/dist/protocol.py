@@ -12,20 +12,22 @@ Ops (all requests carry ``"op"``):
 
 ``register``
     ``{"op": "register", "name": str, "jobs": int, "protocol": int}`` →
-    ``worker_id``, grid ``total``, ``lease_size``,
-    ``heartbeat_interval``, ``claim_ttl``.
+    ``worker_id``, grid ``total``, ``completed``, ``lease_size``,
+    ``heartbeat_interval``, ``protocol``.
 ``lease``
     ``{"op": "lease", "worker_id": str, "max_points": int}`` →
-    ``lease_id`` plus ``points`` (list of ``{"index", "spec"}`` with the
-    spec base64-pickled); an empty list carries either ``done: true``
-    (grid complete — exit) or ``retry_after`` seconds (everything is
-    leased out — heartbeat and ask again).
+    ``lease_id`` plus ``points`` (list of ``{"index", "hash", "spec"}``
+    with the spec base64-pickled and ``hash`` its
+    ``RunSpec.content_hash()`` on the coordinator — the worker
+    recomputes it and refuses the point on a mismatch); an empty list
+    carries either ``done: true`` (grid complete — exit) or
+    ``retry_after`` seconds (everything is leased out — heartbeat and
+    ask again).
 ``result``
     ``{"op": "result", "worker_id": str, "index": int, "hash": str,
-    "payload": str, "from_cache": bool}`` → ack with ``done`` flag.
-    The hash is the point's ``RunSpec.content_hash()``; the coordinator
-    rejects a result whose hash does not match its manifest (a worker
-    running a different grid revision).
+    "payload": str}`` → ack with ``done`` and ``duplicate`` flags.
+    The coordinator rejects a result whose hash does not match its
+    manifest (a worker running a different grid or code revision).
 ``heartbeat``
     ``{"op": "heartbeat", "worker_id": str}`` → ack with ``done``;
     liveness for the coordinator's reaper.  Any op from a worker counts
@@ -57,11 +59,14 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; register fails on a mismatch so
 #: a stale worker checkout dies loudly instead of corrupting a sweep.
-PROTOCOL_VERSION = 1
+#: Version 2: the point hash covers the ``repro`` source tree and the
+#: worker checks it.
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(RuntimeError):
-    """The peer answered, but with an in-band error (``ok: false``)."""
+    """The peer answered, but with an in-band error (``ok: false``), or
+    a worker refused a leased point its code keys differently."""
 
 
 def encode_payload(obj: Any) -> str:

@@ -2,26 +2,17 @@
 
 ``python -m repro sweep work --connect HOST:PORT`` runs one of these.
 A worker owns no state worth preserving — every completed point is
-streamed back to the coordinator (which writes it into the shared cache
+streamed back to the coordinator (which writes it into its cache
 through the atomic-rename path) before the worker asks for more, so a
 worker killed at any instant strands at most one lease of in-flight
-points, which the coordinator requeues.
+points, which the coordinator requeues.  Workers need nothing but the
+coordinator's address: no shared filesystem.
 
-Two optional fast paths when the worker shares a filesystem with the
-coordinator (``--cache-dir`` pointing at the same directory):
-
-* a point already in the cache is sent back as ``from_cache`` without
-  recomputation — this is how a worker "re-enters the steal path": the
-  cache layout and ``.claim`` files are exactly the single-host
-  :class:`~repro.experiments.sweep.SweepRunner` ones, so distributed
-  and local runs interleave safely on one cache;
-* an ``O_EXCL`` ``.claim`` file (with the coordinator-advertised
-  ``claim_ttl``) is taken around each compute, keeping a concurrent
-  *local* ``shard="steal"`` runner off points the fabric is executing.
-
-Neither path is required for correctness: leases keep fabric workers
-disjoint, and every write is content-addressed + atomic, so the worst
-case of any race is one redundant compute of a pure function.
+Before computing a leased point the worker re-derives its cache key
+(:meth:`RunSpec.content_hash`, which covers the ``repro`` source tree)
+and refuses a point whose key differs from the coordinator's: a worker
+running a different checkout must not write results under the
+coordinator's key.
 """
 
 from __future__ import annotations
@@ -31,12 +22,9 @@ import socket
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..experiments.runner import RunSpec
-from ..serve.store import MISSING, ResultStore
-from ..util.atomics import release_claim, try_claim
 from .protocol import (PROTOCOL_VERSION, JsonLineConnection, ProtocolError,
                        decode_payload, encode_payload)
 
@@ -49,18 +37,14 @@ class WorkerSummary:
 
     name: str
     computed: int = 0
-    cache_hits: int = 0
     leases: int = 0
     reconnects: int = 0
     wall_seconds: float = 0.0
     #: ``"done"`` (grid complete), ``"coordinator-gone"`` (reconnect
     #: attempts exhausted before the grid finished), ``"stopped"``, or
-    #: the coordinator's in-band error when it rejected a request.
+    #: the coordinator's in-band error when it rejected a request (or
+    #: this worker's refusal of a point keyed by another code revision).
     reason: str = "done"
-
-    @property
-    def points(self) -> int:
-        return self.computed + self.cache_hits
 
 
 def _execute_spec(spec: RunSpec) -> Any:
@@ -79,13 +63,6 @@ class SweepWorker:
     jobs : int
         Local execution parallelism; ``>1`` fans each lease out over a
         ``ProcessPoolExecutor`` (specs are picklable by construction).
-    cache_dir : path-like, optional
-        Shared-filesystem fast path (see module docstring).  ``None``
-        (the default, and how the bench runs) streams everything over
-        TCP — the workers need nothing but the coordinator's address.
-    claim_ttl : float, optional
-        Overrides the coordinator-advertised TTL for local ``.claim``
-        files; only meaningful with ``cache_dir``.
     reconnect_attempts : int
         Connection attempts (initial connect and after each drop)
         before giving up with reason ``"coordinator-gone"``.
@@ -95,8 +72,6 @@ class SweepWorker:
 
     def __init__(self, host: str, port: int, *,
                  jobs: int = 1,
-                 cache_dir=None,
-                 claim_ttl: Optional[float] = None,
                  name: Optional[str] = None,
                  reconnect_attempts: int = 5,
                  reconnect_delay: float = 0.5,
@@ -108,9 +83,6 @@ class SweepWorker:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.store = (ResultStore(cache_dir, memory_entries=0)
-                      if cache_dir is not None else None)
-        self.claim_ttl = claim_ttl
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.reconnect_attempts = reconnect_attempts
         self.reconnect_delay = reconnect_delay
@@ -124,43 +96,28 @@ class SweepWorker:
     # -- execution --------------------------------------------------------------
     def _execute_points(self, points: List[dict],
                         pool: Optional[ProcessPoolExecutor],
-                        ) -> List[Tuple[dict, Any, bool]]:
-        """Run a lease's points; (point, value, from_cache) triples."""
-        todo: List[Tuple[dict, RunSpec]] = []
-        out: List[Tuple[dict, Any, bool]] = []
+                        ) -> List[Tuple[dict, Any]]:
+        """Run a lease's points; (point, value) pairs.
+
+        Raises :class:`ProtocolError` before computing anything when a
+        point's key here differs from the coordinator's.
+        """
+        specs: List[RunSpec] = []
         for point in points:
             spec = decode_payload(point["spec"])
-            if self.store is not None:
-                cached = self.store.get(point["hash"], MISSING)
-                if cached is not MISSING:
-                    out.append((point, cached, True))
-                    continue
-            todo.append((point, spec))
-        claims: List[Path] = []
-        if self.store is not None:
-            for point, _spec in todo:
-                claim = self.store.directory / f"{point['hash']}.claim"
-                if try_claim(claim, ttl=self.claim_ttl,
-                             payload=f"dist-worker={self.name}\n"):
-                    claims.append(claim)
-                # A refused claim means a local steal-mode runner is on
-                # this point right now; the lease is still ours, and a
-                # duplicate compute of a pure function is harmless, so
-                # proceed either way.
-        try:
-            if pool is not None and len(todo) > 1:
-                values = list(pool.map(_execute_spec,
-                                       [spec for _, spec in todo]))
-            else:
-                values = [spec.execute() for _, spec in todo]
-        finally:
-            for claim in claims:
-                release_claim(claim)
-        for (point, _spec), value in zip(todo, values):
-            if self.store is not None:
-                self.store.put(point["hash"], value)
-            out.append((point, value, False))
-        return out
+            key = spec.content_hash()
+            if key != point["hash"]:
+                raise ProtocolError(
+                    f"content hash mismatch at point {point['index']}: "
+                    f"this worker keys it {key!r}, the coordinator "
+                    f"{point['hash']!r} — a different code revision; "
+                    "refusing to compute it under the coordinator's key")
+            specs.append(spec)
+        if pool is not None and len(specs) > 1:
+            values = list(pool.map(_execute_spec, specs))
+        else:
+            values = [spec.execute() for spec in specs]
+        return list(zip(points, values))
 
     # -- the loop ---------------------------------------------------------------
     def run(self) -> WorkerSummary:
@@ -184,9 +141,11 @@ class SweepWorker:
                     continue
                 except ProtocolError as exc:
                     # The coordinator is up and said no (wrong grid
-                    # revision, result over its line limit): asking
-                    # again would be leased the same point and fail the
-                    # same way.
+                    # revision, result over its line limit), or this
+                    # worker refused a point keyed by another revision:
+                    # asking again would be leased the same point and
+                    # fail the same way.  Closing the connection
+                    # requeues the lease.
                     summary.reason = str(exc)
                     break
                 if done:
@@ -221,8 +180,6 @@ class SweepWorker:
                                  jobs=self.jobs,
                                  protocol=PROTOCOL_VERSION)
             worker_id = hello["worker_id"]
-            if self.claim_ttl is None:
-                self.claim_ttl = hello.get("claim_ttl")
             heartbeat_interval = float(
                 hello.get("heartbeat_interval", 2.0))
             last_beat = time.time()
@@ -241,21 +198,16 @@ class SweepWorker:
                     continue
                 summary.leases += 1
                 done = False
-                for point, value, from_cache in self._execute_points(
-                        points, pool):
+                for point, value in self._execute_points(points, pool):
                     resp = conn.request(
                         "result", worker_id=worker_id,
                         index=point["index"], hash=point["hash"],
-                        payload=encode_payload(value),
-                        from_cache=from_cache)
+                        payload=encode_payload(value))
                     last_beat = time.time()
-                    if from_cache:
-                        summary.cache_hits += 1
-                    else:
-                        summary.computed += 1
+                    summary.computed += 1
                     if self.on_progress is not None:
                         self.on_progress({"worker": self.name,
-                                          "points": summary.points,
+                                          "points": summary.computed,
                                           "done": resp.get("done", False)})
                     done = done or bool(resp.get("done"))
                 if done:

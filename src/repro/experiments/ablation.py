@@ -31,7 +31,7 @@ from ..fluid.equilibrium import PerPointEpsilonRule
 from ..units import mbps_to_pps
 from .results import ResultTable
 from .runner import RunSpec
-from .sweep import SWEEP_PENDING, SweepRunner, pending_row
+from .sweep import SweepRunner
 from .traces import run_two_path_trace
 
 
@@ -148,7 +148,7 @@ def epsilon_sweep_table(*, n1: int = 10, n2: int = 10,
                                    c2_mbps=c2_mbps, rtt=rtt)
 
     for row in (runner or SweepRunner()).run_batched(specs, solve_pending):
-        table.add_row(*pending_row(row, len(table.columns)))
+        table.add_row(*row)
     table.add_note("larger epsilon -> more multipath traffic parked on "
                    "the congested AP2 and lower single-path rates")
     return table
@@ -192,9 +192,6 @@ def flappiness_table(*, capacity_mbps: float = 10.0,
     n_seeds = len(seeds)
     for group, algorithm in enumerate(algorithms):
         runs = samples[group * n_seeds:(group + 1) * n_seeds]
-        if any(run is SWEEP_PENDING for run in runs):
-            table.add_row(algorithm, *(SWEEP_PENDING,) * 4)
-            continue
         means = [sum(run[i] for run in runs) / n_seeds for i in range(4)]
         table.add_row(algorithm, *means)
     table.add_note("without alpha the window imbalance grows: the "
@@ -231,7 +228,7 @@ def queue_discipline_table(*, n1: int = 10, n2: int = 10,
         for queue in ("red", "droptail")
         for algorithm in ("lia", "olia")])
     for row in rows:
-        table.add_row(*pending_row(row, len(table.columns)))
+        table.add_row(*row)
     table.add_note("the OLIA > LIA ordering for single-path users holds "
                    "under both disciplines")
     return table

@@ -21,7 +21,7 @@ from ..topology.fattree import FatTree
 from ..units import mbps_to_pps
 from .results import ResultTable
 from .runner import RunSpec
-from .sweep import SWEEP_PENDING, SweepRunner, pending_attr as _field
+from .sweep import SweepRunner
 
 
 @dataclass
@@ -111,9 +111,9 @@ def figure13a_table(*, k: int = 8, link_mbps: float = 10.0,
     n_algos = len(algorithms)
     for cell, n_subflows in enumerate(subflow_counts):
         row = [n_subflows]
-        row += [_field(run, "percent_of_optimal")
+        row += [run.percent_of_optimal
                 for run in rest[n_algos * cell:n_algos * (cell + 1)]]
-        row.append(_field(tcp, "percent_of_optimal"))
+        row.append(tcp.percent_of_optimal)
         table.add_row(*row)
     table.add_note("MPTCP exploits the path diversity; single-path TCP "
                    "collides on ECMP paths and performs poorly")
@@ -146,11 +146,7 @@ def figure13b_table(*, k: int = 8, link_mbps: float = 10.0,
     for pct in percentiles:
         row = [pct]
         for name in names:
-            run = runs[name]
-            if run is SWEEP_PENDING:
-                row.append(SWEEP_PENDING)
-                continue
-            ranked = run.ranked()
+            ranked = runs[name].ranked()
             index = min(int(len(ranked) * pct / 100), len(ranked) - 1)
             row.append(ranked[index])
         table.add_row(*row)

@@ -26,7 +26,7 @@ from ..fluid import (
 )
 from .results import ResultTable
 from .runner import RunSpec
-from .sweep import SweepRunner, pending_row
+from .sweep import SweepRunner
 
 
 def _network(rtt1: float, rtt2: float, *, c1: float = 400.0,
@@ -132,7 +132,7 @@ def rtt_sweep_table(*, algorithm: str = "olia", base_rtt: float = 0.1,
                                  rtt_ratios=ratios, n_tcp=n_tcp)
 
     for row in (runner or SweepRunner()).run_batched(specs, solve_pending):
-        table.add_row(*pending_row(row, len(table.columns)))
+        table.add_row(*row)
     table.add_note("rising rtt1/rtt2 pushes the TCP-compatible optimum "
                    "towards the shared AP2, squeezing its TCP users")
     return table

@@ -9,11 +9,13 @@ window over which goodputs and loss probabilities are averaged.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Simulator
@@ -110,31 +112,45 @@ class RunSpec:
         return self.fn(**kwargs)
 
     def content_hash(self) -> str:
-        """Stable digest of (function identity+bytecode, arguments, seed).
+        """Stable digest of (function identity+bytecode, arguments, seed,
+        source of the ``repro`` package).
 
-        Used as the result-cache key.  Hashing the function's bytecode
-        invalidates cached results when the point function itself is
-        edited; changes in functions it *calls* are not covered, so wipe
-        the cache directory after refactoring shared helpers.  Argument
-        values are hashed via ``repr``, which is stable for the plain
-        scalars/strings/tuples sweeps are built from.
+        Used as the result-cache key.  Mixing in :func:`code_digest`
+        invalidates cached results whenever any ``repro`` source file
+        changes — the point function or anything it calls — and hashing
+        the function's bytecode covers point functions that live outside
+        the package.  Over-invalidating is safe: a miss only recomputes.
+        Argument values are hashed via ``repr``, which is stable for the
+        plain scalars/strings/tuples sweeps are built from.
         """
         code = getattr(self.fn, "__code__", None)
         bytecode = code.co_code if code is not None else b""
         payload = "|".join((self.fn.__module__, self.fn.__qualname__,
-                            repr(self.kwargs), repr(self.seed))).encode()
+                            repr(self.kwargs), repr(self.seed),
+                            code_digest())).encode()
         return hashlib.sha256(payload + b"|" + bytecode).hexdigest()
 
-    def derived_seed(self, base_seed: int = 0) -> int:
-        """Deterministic per-point seed from the spec content.
 
-        Independent of the point's position in the sweep, so inserting or
-        reordering points never reshuffles the randomness of the others.
-        """
-        payload = f"{base_seed}|{self.fn.__module__}.{self.fn.__qualname__}" \
-                  f"|{self.kwargs!r}"
-        digest = hashlib.sha256(payload.encode()).digest()
-        return int.from_bytes(digest[:4], "big")
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over every ``*.py`` and ``*.c`` file of the ``repro`` package.
+
+    Files are taken in order of their path relative to the package (so
+    the digest does not depend on where the tree is checked out), each
+    framed by that path and its length; ``__pycache__`` and built
+    extensions are not source and stay out.  Computed once per process.
+    """
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*")
+        if path.suffix in (".py", ".c") and "__pycache__" not in path.parts)
+    digest = hashlib.sha256()
+    for name, path in sources:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @dataclass

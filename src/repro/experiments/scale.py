@@ -11,8 +11,8 @@ flows starve).
 
 Points are plain :class:`~repro.experiments.runner.RunSpec` functions
 dispatched through :class:`~repro.experiments.sweep.SweepRunner`, so
-the whole grid shards, steals, caches and resumes like every other
-sweep in this repo.  ``python -m repro scale`` drives
+the whole grid caches, resumes and serves to other hosts like every
+other sweep in this repo.  ``python -m repro scale`` drives
 it and writes ``BENCH_scale.json`` (validated in CI by
 ``benchmarks/check_bench.py --scale``).
 
@@ -52,7 +52,7 @@ from ..topology.generator import (
 )
 from .results import ResultTable
 from .runner import RunSpec
-from .sweep import SWEEP_PENDING, SweepRunner
+from .sweep import SweepRunner
 
 #: Measurement window (simulated seconds) per preset in full mode: big
 #: populations need less simulated time for the same statistical load,
@@ -348,10 +348,8 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
 
     The grids go through ``runner`` (default: an in-process
     :class:`SweepRunner`) exactly as the figure sweeps do, so a 10k-flow
-    grid can be split across machines through a shared cache directory.
-    In a sharded run, cells owned by other shards are simply absent
-    from the report.  ``schedulers`` selects the *packet* schedulers
-    of the family grid.
+    grid can be spread across machines through the lease fabric.
+    ``schedulers`` selects the *packet* schedulers of the family grid.
     """
     if not presets and not families:
         raise ValueError("no presets or families to run")
@@ -426,18 +424,12 @@ def scale_report(presets: Sequence[str] = ("medium",), *,
         "families": {},
     }
     for index, preset in enumerate(presets):
-        run = runs[index]
-        if run is SWEEP_PENDING:
-            continue
-        record = asdict(run)
+        record = asdict(runs[index])
         record["from_cache"] = from_cache[index]
         report["presets"][preset] = record
     for offset, (family, scheduler, algorithm) in enumerate(family_cells):
         index = n_preset_cells + offset
-        run = runs[index]
-        if run is SWEEP_PENDING:
-            continue
-        record = asdict(run)
+        record = asdict(runs[index])
         record["from_cache"] = from_cache[index]
         family_entry = report["families"].setdefault(
             family, {"schedulers": {}})

@@ -20,7 +20,7 @@ from ..topology.scenarios import build_scenario_a
 from ..units import mbps_to_pps
 from .results import ResultTable
 from .runner import RunSpec, measure, staggered_starts
-from .sweep import SweepRunner, pending_attr as _field
+from .sweep import SweepRunner
 
 
 @dataclass
@@ -123,7 +123,7 @@ def figure9_10_table(*, n1_values=(10, 20, 30), n2: int = 10,
 
     Each (C1/C2, N1, algorithm) cell is an independent DES run, so the
     grid is dispatched through ``runner`` (default: an in-process
-    :class:`SweepRunner`), which owns pool size, caching and sharding.
+    :class:`SweepRunner`), which owns pool size, caching and serving.
     """
     table = ResultTable(
         "Fig. 9/10 - Scenario A: measured LIA vs OLIA",
@@ -145,10 +145,8 @@ def figure9_10_table(*, n1_values=(10, 20, 30), n2: int = 10,
             n1=n1, n2=n2, c1=mbps_to_pps(ratio * c2_mbps),
             c2=mbps_to_pps(c2_mbps), rtt=rtt)
         table.add_row(ratio, n1 / n2,
-                      _field(lia, "type2_normalized"),
-                      _field(olia, "type2_normalized"),
-                      opt.type2_normalized,
-                      _field(lia, "p2"), _field(olia, "p2"), opt.p2)
+                      lia.type2_normalized, olia.type2_normalized,
+                      opt.type2_normalized, lia.p2, olia.p2, opt.p2)
     table.add_note("OLIA should track the optimum-with-probing column; "
                    "LIA depresses type2 throughput and inflates p2")
     return table

@@ -17,7 +17,7 @@ from ..topology.scenarios import build_scenario_c
 from ..units import mbps_to_pps
 from .results import ResultTable
 from .runner import RunSpec, measure, staggered_starts
-from .sweep import SweepRunner, pending_attr as _field
+from .sweep import SweepRunner
 
 
 @dataclass
@@ -151,10 +151,8 @@ def figure11_12_table(*, n1_values=(5, 10, 20, 30), n2: int = 10,
             n1=n1, n2=n2, c1=mbps_to_pps(ratio * c2_mbps),
             c2=mbps_to_pps(c2_mbps), rtt=rtt)
         table.add_row(ratio, n1 / n2,
-                      _field(lia, "singlepath_normalized"),
-                      _field(olia, "singlepath_normalized"),
-                      opt.singlepath_normalized,
-                      _field(lia, "p2"), _field(olia, "p2"), opt.p2)
+                      lia.singlepath_normalized, olia.singlepath_normalized,
+                      opt.singlepath_normalized, lia.p2, olia.p2, opt.p2)
     table.add_note("single-path users gain up to 2x with OLIA; p2 stays "
                    "4-6x lower (Figs. 11-12)")
     return table

@@ -22,7 +22,7 @@ from ..sim.engine import Simulator
 from ..topology.fattree import FatTree
 from .results import ResultTable
 from .runner import RunSpec
-from .sweep import SWEEP_PENDING, SweepRunner, pending_attr as _field
+from .sweep import SweepRunner
 
 
 @dataclass
@@ -154,12 +154,10 @@ def table3(*, k: int = 4, link_mbps: float = 40.0,
                      warmup=warmup, n_subflows=n_subflows, seed=seed)
         for algorithm in algorithms])
     for algorithm, run in zip(algorithms, runs):
-        util = (SWEEP_PENDING if run is SWEEP_PENDING
-                else 100.0 * run.core_utilization)
         table.add_row(algorithm.upper() if algorithm != "tcp" else
                       "Regular TCP",
-                      _field(run, "mean_fct_ms"), _field(run, "std_fct_ms"),
-                      util, _field(run, "flows_started"))
+                      run.mean_fct_ms, run.std_fct_ms,
+                      100.0 * run.core_utilization, run.flows_started)
     table.add_note("paper: OLIA cuts mean FCT ~10% vs LIA at equal "
                    "utilization; TCP has low FCT but poor utilization")
     return table
@@ -184,15 +182,11 @@ def figure14_table(*, k: int = 4, link_mbps: float = 40.0,
                      link_mbps=link_mbps, duration=duration,
                      warmup=warmup, n_subflows=n_subflows, seed=seed)
         for algorithm in algorithms])
-    hists = {
-        algorithm: (None if run is SWEEP_PENDING
-                    else dict(run.histogram(bin_ms=bin_ms, max_ms=max_ms)))
-        for algorithm, run in zip(algorithms, runs)}
+    hists = [dict(run.histogram(bin_ms=bin_ms, max_ms=max_ms))
+             for run in runs]
     n_bins = int(max_ms / bin_ms)
     for start in (i * bin_ms for i in range(n_bins + 1)):
-        table.add_row(start, *(
-            SWEEP_PENDING if hists[a] is None else hists[a].get(start, 0.0)
-            for a in algorithms))
+        table.add_row(start, *(hist.get(start, 0.0) for hist in hists))
     table.add_note("OLIA shifts the distribution left relative to LIA "
                    "(faster completions for both fast and slow flows)")
     return table

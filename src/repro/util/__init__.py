@@ -4,18 +4,12 @@ from .atomics import (
     MISSING,
     atomic_pickle,
     atomic_write_bytes,
-    claim_age,
     load_pickle,
-    release_claim,
-    try_claim,
 )
 
 __all__ = [
     "MISSING",
     "atomic_pickle",
     "atomic_write_bytes",
-    "claim_age",
     "load_pickle",
-    "release_claim",
-    "try_claim",
 ]

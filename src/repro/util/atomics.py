@@ -1,21 +1,14 @@
-"""Filesystem atomics: write-then-rename persistence and O_EXCL claims.
+"""Filesystem atomics: write-then-rename persistence.
 
-Exactly one tested implementation of the two idioms every concurrent
-on-disk store in this repo relies on:
+Exactly one tested implementation of the idiom every concurrent on-disk
+store in this repo relies on: **tmpfile + rename**
+(:func:`atomic_write_bytes`, :func:`atomic_pickle`, :func:`load_pickle`)
+— a reader never observes a torn entry, because ``os.replace`` is atomic
+on POSIX filesystems and the temporary file lives in the destination
+directory (same filesystem, so the rename cannot degrade to a copy).
 
-* **tmpfile + rename** (:func:`atomic_write_bytes`, :func:`atomic_pickle`,
-  :func:`load_pickle`) — a reader never observes a torn entry, because
-  ``os.replace`` is atomic on POSIX filesystems and the temporary file
-  lives in the destination directory (same filesystem, so the rename
-  cannot degrade to a copy);
-* **O_EXCL claim files** (:func:`try_claim`, :func:`release_claim`,
-  :func:`claim_age`) — ``O_CREAT | O_EXCL`` is atomic on POSIX
-  filesystems (including NFS v3+), which is all the coordination a
-  work-stealing queue or a multi-writer cache needs: no daemon, no
-  queue service, just a shared directory.
-
-Both ``SweepRunner`` (``experiments/sweep.py``) and the serving-layer
-result store (``serve/store.py``) are built on these primitives.
+The result store behind sweep caches and the serving layer
+(``serve/store.py``) is built on it.
 """
 
 from __future__ import annotations
@@ -23,9 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import time
-from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 #: Sentinel returned by :func:`load_pickle` when an entry is absent or
 #: unreadable.  Identity-checked (``value is MISSING``), so any stored
@@ -116,51 +107,3 @@ def load_pickle(path: "str | os.PathLike", default: Any = MISSING) -> Any:
             return pickle.load(fh)
     except UNPICKLE_ERRORS + (OSError,):
         return default
-
-
-def try_claim(path: "str | os.PathLike",
-              *, ttl: Optional[float] = None,
-              payload: Optional[str] = None) -> bool:
-    """Atomically claim ``path``; ``False`` when another holder has it.
-
-    With ``ttl`` set, a claim older than ``ttl`` seconds is treated as
-    abandoned by a dead worker: it is reaped (unlinked) and claiming is
-    retried once.  Two reapers racing on the same stale claim can both
-    succeed in unlinking+recreating it — the resulting duplicate compute
-    is harmless for content-addressed stores whose writes are atomic and
-    idempotent, which is the only context claims are used in.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    if _create_claim(target, payload):
-        return True
-    if ttl is not None:
-        age = claim_age(target)
-        if age is not None and age > ttl:
-            _unlink_quiet(target)
-            return _create_claim(target, payload)
-    return False
-
-
-def _create_claim(path: Path, payload: Optional[str]) -> bool:
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w") as fh:
-        fh.write(payload if payload is not None else f"pid={os.getpid()}\n")
-    return True
-
-
-def release_claim(path: "str | os.PathLike") -> None:
-    """Drop a claim.  Idempotent; a vanished claim file is not an error."""
-    _unlink_quiet(path)
-
-
-def claim_age(path: "str | os.PathLike") -> Optional[float]:
-    """Seconds since the claim file was created; ``None`` when absent."""
-    try:
-        mtime = os.stat(path).st_mtime
-    except OSError:
-        return None
-    return max(0.0, time.time() - mtime)

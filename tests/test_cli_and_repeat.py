@@ -1,5 +1,7 @@
 """Tests for the CLI and the repeated-measurement statistics."""
 
+import socket
+
 import pytest
 
 from repro.cli import _experiments, build_parser, main
@@ -112,25 +114,35 @@ class TestCli:
 
     def test_run_and_scale_share_the_sweep_flags(self, tmp_path, capsys):
         """One parent parser, one validator: the same flags, the same
-        rules (a 1-shard 'split' needs no shared cache) on both verbs."""
-        flags = ["--jobs", "2", "--resume", str(tmp_path), "--shard",
-                 "1/4", "--claim-ttl", "30"]
+        rules (--serve needs the --resume cache) on both verbs."""
+        flags = ["--jobs", "2", "--resume", str(tmp_path), "--serve",
+                 "127.0.0.1:8700"]
         for verb in (["run", "fig4"], ["scale"]):
             args = build_parser().parse_args([*verb, *flags])
-            assert (args.jobs, args.resume, args.shard, args.claim_ttl) == \
-                (2, str(tmp_path), (1, 4), 30.0)
+            assert (args.jobs, args.resume, args.serve) == \
+                (2, str(tmp_path), "127.0.0.1:8700")
+            # The static shards and claim files are gone.
+            for gone in (["--shard", "0/2"], ["--claim-ttl", "30"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args([*verb, *gone])
+                assert excinfo.value.code == 2
         out = str(tmp_path / "s.json")
+        cache = str(tmp_path / "cache")
         for verb in (["run", "fig4"], ["scale", "--output", out]):
             assert main([*verb, "--jobs", "0"]) == 2
             assert "--jobs" in capsys.readouterr().err
-            assert main([*verb, "--shard", "steal"]) == 2
+            assert main([*verb, "--serve", "127.0.0.1:8700"]) == 2
             assert "--resume" in capsys.readouterr().err
-            assert main([*verb, "--claim-ttl", "0"]) == 2
-            assert "--claim-ttl" in capsys.readouterr().err
-        assert main(["run", "fig4", "--shard", "0/1"]) == 0
+            assert main([*verb, "--resume", cache, "--serve",
+                         "127.0.0.1:http"]) == 2
+            assert "numeric port" in capsys.readouterr().err
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        serve = ["--resume", cache, "--serve", f"127.0.0.1:{port}"]
+        assert main(["run", "fig4", *serve]) == 0
         assert main(["scale", "--preset", "tiny", "--duration", "0.3",
-                     "--warmup", "0.1", "--shard", "0/1",
-                     "--output", out]) == 0
+                     "--warmup", "0.1", *serve, "--output", out]) == 0
 
     def test_algorithms_verb_prints_layer_table(self, capsys):
         assert main(["algorithms"]) == 0

@@ -23,6 +23,7 @@ from repro.dist import (PROTOCOL_VERSION, CoordinatorThread,
                         parse_hostport)
 from repro.dist import coordinator as coordinator_module
 from repro.dist.bench import merge_results
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import RunSpec
 from repro.experiments.sweep import SweepRunner
 from repro.serve.store import MISSING, ResultStore
@@ -152,7 +153,7 @@ class TestTwoWorkerIntegration:
             [pickle.dumps(v) for v in reference]
         assert all(s.reason == "done" for s in summaries)
         # Every point computed exactly once across the fleet.
-        assert sum(s.points for s in summaries) == 14
+        assert sum(s.computed for s in summaries) == 14
         assert stats["duplicate_results"] == 0
 
     def test_merged_progress_counts_per_worker(self, tmp_path):
@@ -179,10 +180,10 @@ class TestTwoWorkerIntegration:
             linger=20.0)
         port = thread.start()
         (first,) = _run_workers(port, 1)
-        assert first.reason == "done" and first.points == 6
+        assert first.reason == "done" and first.computed == 6
         time.sleep(0.3)     # well past the open-connection grace
         (late,) = _run_workers(port, 1)
-        assert late.reason == "done" and late.points == 0
+        assert late.reason == "done" and late.computed == 0
         started = time.time()
         stats = thread.result()
         # Both expected workers have been answered: no further wait.
@@ -237,7 +238,7 @@ class TestWorkerKilledMidLease:
         assert stats["reassigned_points"] == 4
         assert stats["duplicate_results"] == 0
         # The survivor computed every point exactly once.
-        assert summaries[0].points == 9
+        assert summaries[0].computed == 9
         merged = merge_results(specs, tmp_path)
         assert merged == SweepRunner(jobs=1).run(specs)
 
@@ -266,7 +267,7 @@ class TestWorkerKilledMidLease:
         assert stats["done"] and stats["completed"] == 6
         assert stats["reassigned_points"] == 2
         assert stats["dead_workers"] == 1
-        assert summaries[0].points == 6
+        assert summaries[0].computed == 6
 
     def test_late_result_from_reaped_worker_is_deduplicated(
             self, tmp_path):
@@ -305,6 +306,32 @@ class TestWorkerKilledMidLease:
         other.close()
         thread.stop()
         thread.result()
+
+    def test_worker_from_another_checkout_refuses_the_lease(
+            self, tmp_path, monkeypatch):
+        """A worker whose code keys a point differently must not compute
+        it under the coordinator's key: it stops, names the mismatch,
+        writes nothing, and its lease goes back to the queue."""
+        specs = _grid(4)
+        thread = CoordinatorThread(_coordinator(specs, tmp_path))
+        port = thread.start()
+        monkeypatch.setattr(runner_module, "code_digest",
+                            lambda: "another checkout")
+        try:
+            summary = SweepWorker("127.0.0.1", port, name="stale",
+                                  reconnect_attempts=1).run()
+            assert "content hash mismatch" in summary.reason
+            assert summary.computed == 0
+            deadline = time.time() + 5.0
+            while thread.coordinator.status()["leased"] and \
+                    time.time() < deadline:
+                time.sleep(0.02)
+            status = thread.coordinator.status()
+            assert (status["leased"], status["queued"]) == (0, 4)
+            assert list(tmp_path.glob("*.pkl")) == []
+        finally:
+            thread.stop()
+            thread.result()
 
     def test_result_hash_mismatch_rejected(self, tmp_path):
         specs = _grid(2)
@@ -359,7 +386,7 @@ class TestCoordinatorKilledAndResumed:
         stats_b = thread_b.result()
         assert stats_b["done"] and stats_b["completed"] == 8
         assert stats_b["resumed_points"] == 3
-        assert summaries[0].points == 5    # zero lost, zero recomputed
+        assert summaries[0].computed == 5    # zero lost, zero recomputed
         assert merge_results(specs, cache) == SweepRunner(jobs=1).run(specs)
 
     def test_worker_exits_cleanly_when_coordinator_never_returns(self):
@@ -369,7 +396,7 @@ class TestCoordinatorKilledAndResumed:
                              reconnect_delay=0.05)
         summary = worker.run()
         assert summary.reason == "coordinator-gone"
-        assert summary.points == 0
+        assert summary.computed == 0
         assert summary.reconnects == 2
 
     def test_worker_redials_until_coordinator_appears(self, tmp_path):
@@ -422,7 +449,7 @@ class TestTornResultHealing:
         summaries = _run_workers(port, 1)
         stats = thread.result()
         assert stats["done"]
-        assert summaries[0].points == 1    # only the healed point reran
+        assert summaries[0].computed == 1    # only the healed point reran
         assert merge_results(specs, cache) == SweepRunner(jobs=1).run(specs)
 
     def test_already_complete_grid_serves_without_workers(self, tmp_path):
@@ -436,23 +463,6 @@ class TestTornResultHealing:
         stats = thread.result()    # serve() returns immediately: done
         assert stats["done"] and stats["completed"] == 4
         assert stats["results_received"] == 0
-
-
-class TestSharedCacheFastPath:
-    def test_worker_serves_cached_points_without_recompute(self, tmp_path):
-        specs = _grid(6)
-        cache = tmp_path / "cache"
-        # Another host already computed half the grid into the shared
-        # cache, but the coordinator is told not to trust/resume it.
-        SweepRunner(jobs=1, cache_dir=cache).run(specs[:3])
-        coordinator = _coordinator(specs, cache, resume=False)
-        thread = CoordinatorThread(coordinator)
-        port = thread.start()
-        summaries = _run_workers(port, 1, cache_dir=cache)
-        stats = thread.result()
-        assert stats["done"]
-        assert summaries[0].cache_hits == 3
-        assert summaries[0].computed == 3
 
 
 class TestCoordinatorValidation:
@@ -490,7 +500,7 @@ class TestCoordinatorValidation:
         try:
             assert not runner.is_alive(), "worker keeps re-leasing the point"
             assert "line limit" in summaries[0].reason
-            assert summaries[0].points == 0
+            assert summaries[0].computed == 0
             assert thread.coordinator.status()["leases_granted"] == 1
         finally:
             worker.stop()
@@ -512,7 +522,7 @@ class TestWorkerJobs:
         summaries = _run_workers(port, 1, jobs=2)
         stats = thread.result()
         assert stats["done"] and stats["completed"] == 10
-        assert summaries[0].points == 10
+        assert summaries[0].computed == 10
         assert merge_results(specs, tmp_path) == \
             SweepRunner(jobs=1).run(specs)
 

@@ -147,14 +147,13 @@ class TestAblation:
         reference = [spec.execute() for spec in _epsilon_specs(epsilons)]
         assert [tuple(r) for r in batch.rows] == reference
 
-    def test_epsilon_batch_composes_with_shard_and_cache(self, tmp_path):
-        """Sharded batched runs fill the cache under the per-point
-        specs' hashes: a plain runner merges them without computing."""
+    def test_epsilon_batch_composes_with_cache(self, tmp_path):
+        """A batched run fills the cache under the per-point specs'
+        hashes: a plain runner serves them without computing."""
         epsilons = (0.5, 1.0, 1.5, 2.0)
-        for index in range(2):
-            ablation.epsilon_sweep_table(
-                epsilons=epsilons, **_EPSILON_NETWORK,
-                runner=SweepRunner(cache_dir=tmp_path, shard=(index, 2)))
+        ablation.epsilon_sweep_table(
+            epsilons=epsilons, **_EPSILON_NETWORK,
+            runner=SweepRunner(cache_dir=tmp_path))
         merger = SweepRunner(cache_dir=tmp_path)
         merged = merger.run(_epsilon_specs(epsilons))
         assert (merger.cache_hits, merger.cache_misses) == (4, 0)

@@ -166,14 +166,13 @@ class TestRttHeterogeneity:
         reference = [spec.execute() for spec in _rtt_specs(ratios)]
         assert [tuple(r) for r in batch.rows] == reference
 
-    def test_batch_backend_composes_with_shard_and_cache(self, tmp_path):
-        """--shard I/N --resume DIR must honour shard ownership and fill
-        the shared cache under the per-point specs' hashes."""
+    def test_batch_backend_composes_with_cache(self, tmp_path):
+        """--resume DIR must fill the cache under the per-point specs'
+        hashes: a plain runner serves them without computing."""
         ratios = (0.25, 0.5, 1.0, 2.0)
-        for index in range(2):
-            rtt_heterogeneity.rtt_sweep_table(
-                rtt_ratios=ratios, **_RTT_SWEEP,
-                runner=SweepRunner(cache_dir=tmp_path, shard=(index, 2)))
+        rtt_heterogeneity.rtt_sweep_table(
+            rtt_ratios=ratios, **_RTT_SWEEP,
+            runner=SweepRunner(cache_dir=tmp_path))
         merger = SweepRunner(cache_dir=tmp_path)
         merged = merger.run(_rtt_specs(ratios))
         assert (merger.cache_hits, merger.cache_misses) == (4, 0)

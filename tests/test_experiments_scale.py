@@ -231,24 +231,8 @@ class TestCliVerb:
         assert "--engine-backends" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    def test_shard_requires_resume(self, tmp_path, capsys):
-        code = main(["scale", "--preset", "tiny", "--shard", "0/2",
-                     "--output", str(tmp_path / "x.json")])
+    def test_serve_requires_resume(self, tmp_path, capsys):
+        code = main(["scale", "--preset", "tiny", "--serve",
+                     "127.0.0.1:8653", "--output", str(tmp_path / "x.json")])
         assert code == 2
         assert "--resume" in capsys.readouterr().err
-
-    def test_sharded_runs_merge_through_the_cache(self, tmp_path):
-        cache = tmp_path / "cache"
-        common = ["--preset", "tiny", "--preset", "small", "--max-flows",
-                  "24", "--duration", "0.3", "--warmup", "0.1",
-                  "--resume", str(cache)]
-        for shard in ("0/2", "1/2"):
-            out = tmp_path / f"shard{shard[0]}.json"
-            assert main(["scale", *common, "--shard", shard,
-                         "--output", str(out)]) == 0
-        merged = tmp_path / "merged.json"
-        assert main(["scale", *common, "--output", str(merged)]) == 0
-        report = json.loads(merged.read_text())
-        assert set(report["presets"]) == {"tiny", "small"}
-        assert all(run["from_cache"] for run in report["presets"].values())
-        assert check_bench.check_scale_report(report) == []

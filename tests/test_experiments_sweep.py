@@ -1,21 +1,23 @@
 """Tests for the parallel sweep runner, RunSpec and measure validation."""
 
+import os
+import pickle
+import shutil
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.dist import SweepWorker
 from repro.experiments.ablation import flappiness_point
 from repro.experiments.rtt_heterogeneity import rtt_sweep_point
-from repro.experiments.runner import RunSpec, measure
-from repro.experiments.sweep import (
-    MANIFEST_SCHEMA,
-    SWEEP_PENDING,
-    SweepRunner,
-    load_all_specs,
-    load_manifest,
-    load_shard,
-    pending_attr,
-    pending_row,
-    write_shards,
-)
+from repro.experiments.runner import RunSpec, measure, summarize_samples
+from repro.experiments.sweep import SweepRunner
 from repro.sim.engine import Simulator
 
 
@@ -69,13 +71,31 @@ class TestRunSpec:
                                          capacity_mbps=10.0,
                                          duration=2.0, seed=5)
 
-    def test_derived_seed_is_stable_and_content_dependent(self):
-        a = RunSpec.make(rtt_sweep_point, ratio=1.0)
-        b = RunSpec.make(rtt_sweep_point, ratio=1.0)
-        c = RunSpec.make(rtt_sweep_point, ratio=2.0)
-        assert a.derived_seed(0) == b.derived_seed(0)
-        assert a.derived_seed(0) != c.derived_seed(0)
-        assert a.derived_seed(0) != a.derived_seed(1)
+    def test_content_hash_follows_source_edits(self, tmp_path):
+        """The key covers the whole ``repro`` tree, not only the point
+        function: the same tree keys the same in two processes wherever
+        it is checked out, and editing a callee (here ``sim/link.py``)
+        changes the key."""
+        tree = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        probe = ("from repro.experiments.runner import RunSpec, "
+                 "summarize_samples\n"
+                 "print(RunSpec.make(summarize_samples, samples=(1.0,))"
+                 ".content_hash())")
+
+        def key():
+            env = dict(os.environ, PYTHONPATH=str(tree))
+            return subprocess.run(
+                [sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        here = RunSpec.make(summarize_samples, samples=(1.0,)).content_hash()
+        assert key() == key() == here
+        link = tree / "repro" / "sim" / "link.py"
+        link.write_text(link.read_text()
+                        + "\n\ndef _helper():\n    return 1\n")
+        assert key() != here
 
 
 class TestSweepRunnerDeterminism:
@@ -137,25 +157,6 @@ class TestSweepRunnerCache:
         assert runner.cache_misses == 2
 
 
-class TestSweepRunnerMap:
-    def test_map_preserves_point_order(self):
-        runner = SweepRunner(jobs=1)
-        points = [dict(algorithm="olia", base_rtt=0.1, ratio=r, n_tcp=2)
-                  for r in (2.0, 0.5, 1.0)]
-        results = runner.map(rtt_sweep_point, points)
-        assert [row[0] for row in results] == [2.0, 0.5, 1.0]
-
-    def test_map_base_seed_derives_per_point_seeds(self):
-        runner = SweepRunner(jobs=1)
-        points = [dict(algorithm="olia", capacity_mbps=10.0, duration=2.0)
-                  for _ in range(2)]
-        results = runner.map(flappiness_point, points, base_seed=7)
-        # Identical points derive identical seeds -> identical results.
-        assert results[0] == results[1]
-        other = runner.map(flappiness_point, points, base_seed=8)
-        assert other != results
-
-
 class TestRunBatched:
     @staticmethod
     def _batch_eval(pending):
@@ -166,7 +167,7 @@ class TestRunBatched:
         batched = SweepRunner(jobs=1).run_batched(specs, self._batch_eval)
         assert batched == SweepRunner(jobs=1).run(specs)
 
-    def test_batch_fn_sees_only_pending_owned_points(self, tmp_path):
+    def test_batch_fn_sees_only_uncached_points(self, tmp_path):
         specs = _rtt_specs()
         SweepRunner(jobs=1, cache_dir=tmp_path).run(specs[:1])
         seen = []
@@ -175,12 +176,11 @@ class TestRunBatched:
             seen.extend(pending)
             return self._batch_eval(pending)
 
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard=(0, 2))
+        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
         results = runner.run_batched(specs, spy)
-        # Point 0 was cached, point 1 and 3 belong to shard 1: only
-        # point 2 reaches the batch call.
-        assert seen == [specs[2]]
-        assert results[3] is SWEEP_PENDING
+        # Point 0 was cached: only points 1-3 reach the batch call.
+        assert seen == specs[1:]
+        assert results == SweepRunner(jobs=1).run(specs)
         assert runner.cache_hits == 1
 
     def test_batch_fn_fills_cache_for_later_runs(self, tmp_path):
@@ -256,424 +256,64 @@ class TestSweepProgress:
         assert ticks[-1].cache_hits == 2
 
 
-class TestShardedSweep:
-    def test_shards_split_and_merge_through_cache(self, tmp_path):
-        specs = _rtt_specs()
-        first = SweepRunner(jobs=1, cache_dir=tmp_path, shard=(0, 2))
-        partial = first.run(specs)
-        assert first.cache_misses == 2
-        assert first.skipped == 2
-        assert partial[0] is not SWEEP_PENDING
-        assert partial[1] is SWEEP_PENDING
-
-        second = SweepRunner(jobs=1, cache_dir=tmp_path, shard=(1, 2))
-        second.run(specs)
-
-        merged = SweepRunner(jobs=1, cache_dir=tmp_path)
-        results = merged.run(specs)
-        assert merged.cache_hits == 4
-        assert merged.cache_misses == 0
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_shard_serves_cached_points_it_does_not_own(self, tmp_path):
-        specs = _rtt_specs()
-        SweepRunner(jobs=1, cache_dir=tmp_path).run(specs[:2])
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard=(0, 2))
-        results = runner.run(specs)
-        # Point 1 belongs to shard 1 but is already cached.
-        assert results[1] is not SWEEP_PENDING
-        assert results[3] is SWEEP_PENDING
-
-    def test_shard_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            SweepRunner(jobs=1, shard=(0, 2))
-
-    def test_invalid_shard_rejected(self, tmp_path):
-        for shard in ((2, 2), (-1, 2), (0, 0)):
-            with pytest.raises(ValueError, match="shard"):
-                SweepRunner(jobs=1, cache_dir=tmp_path, shard=shard)
-
-    def test_pending_helpers(self):
-        class Thing:
-            value = 7
-
-        assert pending_attr(Thing(), "value") == 7
-        assert pending_attr(SWEEP_PENDING, "value") is SWEEP_PENDING
-        assert pending_row((1, 2), 5) == (1, 2)
-        assert pending_row(SWEEP_PENDING, 3) == (SWEEP_PENDING,) * 3
-        assert str(SWEEP_PENDING) == "PENDING"
+def slow_point(*, value):
+    """A point slow enough for a second worker to take a share."""
+    time.sleep(0.05)
+    return {"value": value, "square": value * value}
 
 
-class TestWorkStealingSweep:
-    def test_single_stealer_computes_everything(self, tmp_path):
-        specs = _rtt_specs()
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = runner.run(specs)
-        assert runner.cache_misses == 4
-        assert runner.skipped == 0
-        assert results == SweepRunner(jobs=1).run(specs)
-        # Completed claims are released: only result pickles remain.
-        assert list(tmp_path.glob("*.claim")) == []
-        assert len(list(tmp_path.glob("*.pkl"))) == 4
+def _free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
-    def test_claimed_points_are_left_to_their_owner(self, tmp_path):
-        """A point whose claim file exists belongs to another runner:
-        the stealer skips it and reports it PENDING."""
-        specs = _rtt_specs()
-        other = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert other._try_claim(specs[1])
-        assert other._try_claim(specs[3])
 
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = runner.run(specs)
-        assert runner.cache_misses == 2
-        assert runner.skipped == 2
-        assert results[0] is not SWEEP_PENDING
-        assert results[1] is SWEEP_PENDING
-        assert results[2] is not SWEEP_PENDING
-        assert results[3] is SWEEP_PENDING
+class TestServedSweep:
+    """``serve=(host, port)``: the grid goes through the lease fabric."""
 
-    def test_stealers_merge_through_the_shared_cache(self, tmp_path):
-        """Two stealers (sequenced here; concurrent in production) plus
-        an unsharded merge run reproduce the full sweep."""
-        specs = _rtt_specs()
-        first = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        # Simulate contention: the second stealer already holds 2 and 3.
-        second = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert second._try_claim(specs[2])
-        assert second._try_claim(specs[3])
-        first.run(specs)
-        second._release_claim(specs[2])
-        second._release_claim(specs[3])
-        second.run(specs)
-        assert first.cache_misses == 2
-        assert second.cache_misses == 2
+    def test_served_grid_matches_in_process_run(self, tmp_path):
+        specs = [RunSpec.make(slow_point, value=i) for i in range(8)]
+        port = _free_port()
+        helper = SweepWorker("127.0.0.1", port, name="helper",
+                             reconnect_attempts=10, reconnect_delay=0.01)
+        summaries = []
+        thread = threading.Thread(
+            target=lambda: summaries.append(helper.run()))
+        thread.start()
+        runner = SweepRunner(cache_dir=tmp_path,
+                             serve=("127.0.0.1", port))
+        served = runner.run(specs)
+        thread.join(30)
+        assert [pickle.dumps(v) for v in served] == \
+            [pickle.dumps(v) for v in SweepRunner(jobs=1).run(specs)]
+        assert runner.cache_misses == len(specs)
+        assert summaries[0].reason == "done"
+        assert summaries[0].computed >= 1       # the helper took a share
 
-        merged = SweepRunner(jobs=1, cache_dir=tmp_path)
-        results = merged.run(specs)
-        assert merged.cache_hits == 4
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_claims_are_taken_per_point_not_upfront(self, tmp_path):
-        """Claims must be created immediately before computing each
-        point — an upfront claim sweep would hand one runner the whole
-        grid and starve every concurrent stealer."""
-        claim_snapshots = []
-
-        def watch(progress):
-            if not progress.from_cache:
-                claim_snapshots.append(
-                    len(list(tmp_path.glob("*.claim"))))
-
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        runner.run(_rtt_specs(), progress=watch)
-        # By each computed point's tick, its own claim was released and
-        # no other point had been claimed yet.
-        assert claim_snapshots == [0, 0, 0, 0]
-
-    def test_interrupted_steal_run_resumes_itself(self, tmp_path):
-        """A stealer killed mid-grid must be able to finish its own
-        sweep on re-run: completed points' claims were released, and
-        the surviving claims cover at most the in-flight points."""
-        specs = _rtt_specs()
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-
-        def interrupt(progress):
-            if progress.done == 2:
-                raise _StopSweep()
-
-        with pytest.raises(_StopSweep):
-            runner.run(specs, progress=interrupt)
-
-        resumed = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = resumed.run(specs)
-        assert resumed.skipped == 0
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_point_finished_elsewhere_mid_run_is_served_from_cache(
+    def test_second_run_over_a_full_cache_starts_no_coordinator(
             self, tmp_path):
-        """If another stealer completes a point after this runner's
-        initial scan, the pre-claim cache re-check picks the result up
-        instead of recomputing or skipping it."""
         specs = _rtt_specs()
-        donor = SweepRunner(jobs=1, cache_dir=tmp_path)
+        first = SweepRunner(cache_dir=tmp_path,
+                            serve=("127.0.0.1", _free_port())).run(specs)
+        # The address is taken: a coordinator could not bind it.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            serve = ("127.0.0.1", taken.getsockname()[1])
+            ticks = []
+            runner = SweepRunner(cache_dir=tmp_path, serve=serve)
+            again = runner.run(specs, progress=ticks.append)
+            batched = SweepRunner(cache_dir=tmp_path / "batch",
+                                  serve=serve).run_batched(
+                specs, lambda pending: [s.execute() for s in pending])
+        assert again == first == batched
+        assert runner.cache_hits == len(specs)
+        assert len(ticks) == len(specs)
+        assert all(tick.from_cache for tick in ticks)
 
-        def plant(progress):
-            # While point 0 computes, a "concurrent" runner finishes
-            # points 2 and 3.
-            if progress.index == 0:
-                donor.run(specs[2:])
-
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = runner.run(specs, progress=plant)
-        assert runner.cache_misses == 2        # points 0 and 1
-        assert runner.cache_hits == 2          # points 2 and 3, late
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_cached_points_are_not_claimed(self, tmp_path):
-        specs = _rtt_specs()
-        SweepRunner(jobs=1, cache_dir=tmp_path).run(specs[:2])
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = runner.run(specs)
-        assert runner.cache_hits == 2
-        assert runner.cache_misses == 2
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_stale_claim_is_ignored_by_merge_run(self, tmp_path):
-        """A crashed stealer leaves a claim file; the unsharded merge
-        run computes the point anyway (claims only gate stealers)."""
-        specs = _rtt_specs()
-        crashed = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert crashed._try_claim(specs[0])
-
-        stealer = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        partial = stealer.run(specs)
-        assert partial[0] is SWEEP_PENDING
-
-        merged = SweepRunner(jobs=1, cache_dir=tmp_path)
-        results = merged.run(specs)
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_steal_requires_cache_dir(self):
+    def test_serve_requires_cache_dir(self):
         with pytest.raises(ValueError, match="cache_dir"):
-            SweepRunner(jobs=1, shard="steal")
-
-    def test_unknown_shard_string_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="steal"):
-            SweepRunner(jobs=1, cache_dir=tmp_path, shard="grab")
-
-    def test_steal_with_pool_rolls_a_claim_window(self, tmp_path):
-        """jobs>1 stealing claims points one at a time as workers free
-        up (no chunk barrier) and still reproduces the serial results."""
-        specs = _seeded_specs()
-        runner = SweepRunner(jobs=2, cache_dir=tmp_path, shard="steal")
-        results = runner.run(specs)
-        assert runner.cache_misses == 4
-        assert list(tmp_path.glob("*.claim")) == []
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_failed_batch_run_releases_its_claims(self, tmp_path):
-        """A batch_fn that blows up must not park the whole grid: the
-        claims it took are released on the way out, so another stealer
-        can take over immediately."""
-        specs = _rtt_specs()
-
-        def boom(pending):
-            raise RuntimeError("solver exploded")
-
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        with pytest.raises(RuntimeError, match="solver exploded"):
-            runner.run_batched(specs, boom)
-        assert list(tmp_path.glob("*.claim")) == []
-
-        second = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = second.run(specs)
-        assert second.skipped == 0
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_steal_composes_with_run_batched(self, tmp_path):
-        specs = _rtt_specs()
-        other = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert other._try_claim(specs[1])
-        seen = []
-
-        def spy(pending):
-            seen.extend(pending)
-            return [spec.execute() for spec in pending]
-
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = runner.run_batched(specs, spy)
-        assert seen == [specs[0], specs[2], specs[3]]
-        assert results[1] is SWEEP_PENDING
-
-
-class TestStaleClaimReaping:
-    def test_invalid_claim_ttl_rejected(self, tmp_path):
-        for bad in (0.0, -5.0):
-            with pytest.raises(ValueError, match="claim_ttl"):
-                SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal",
-                            claim_ttl=bad)
-
-    def test_aged_claim_is_reaped_and_point_computed(self, tmp_path):
-        """A hard-killed worker never releases its claims; with a TTL
-        set, a claim older than the TTL is treated as abandoned and the
-        stealer takes the point over instead of parking it."""
-        import os
-
-        specs = _rtt_specs()
-        crashed = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert crashed._try_claim(specs[0])
-        assert crashed._try_claim(specs[2])
-        for spec in (specs[0], specs[2]):
-            path = crashed._claim_path(spec)
-            aged = path.stat().st_mtime - 3600
-            os.utime(path, (aged, aged))
-
-        reaper = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal",
-                             claim_ttl=600.0)
-        results = reaper.run(specs)
-        assert reaper.skipped == 0
-        assert reaper.cache_misses == 4
-        assert results == SweepRunner(jobs=1).run(specs)
-        assert list(tmp_path.glob("*.claim")) == []
-
-    def test_fresh_claim_survives_the_ttl(self, tmp_path):
-        """A live worker's recent claim must never be stolen."""
-        specs = _rtt_specs()
-        owner = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert owner._try_claim(specs[1])
-
-        stealer = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal",
-                              claim_ttl=3600.0)
-        results = stealer.run(specs)
-        assert stealer.skipped == 1
-        assert results[1] is SWEEP_PENDING
-        assert owner._claim_path(specs[1]).exists()
-
-    def test_no_ttl_never_reaps(self, tmp_path):
-        """The default keeps the historical behavior: stale claims park
-        their points until an unsharded merge run picks them up."""
-        import os
-
-        specs = _rtt_specs()
-        crashed = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        assert crashed._try_claim(specs[0])
-        path = crashed._claim_path(specs[0])
-        os.utime(path, (1_000_000, 1_000_000))
-
-        stealer = SweepRunner(jobs=1, cache_dir=tmp_path, shard="steal")
-        results = stealer.run(specs)
-        assert stealer.skipped == 1
-        assert results[0] is SWEEP_PENDING
-        assert path.exists()
-
-
-class TestSpecSpill:
-    def test_write_and_load_shards_round_trip(self, tmp_path):
-        specs = _rtt_specs()
-        paths = write_shards(specs, tmp_path / "spill", shard_count=3)
-        assert len(paths) == 3
-        manifest = load_manifest(tmp_path / "spill")
-        assert manifest["total"] == 4
-        assert manifest["shard_count"] == 3
-        assert manifest["spec_hashes"] == [s.content_hash() for s in specs]
-        loaded = [spec for i in range(3)
-                  for spec in load_shard(tmp_path / "spill", i)]
-        assert sorted(s.content_hash() for s in loaded) == \
-            sorted(s.content_hash() for s in specs)
-
-    def test_spilled_shards_fill_a_shared_cache(self, tmp_path):
-        specs = _rtt_specs()
-        write_shards(specs, tmp_path / "spill", shard_count=2)
-        cache = tmp_path / "cache"
-        for shard_index in range(2):
-            SweepRunner(jobs=1, cache_dir=cache).run(
-                load_shard(tmp_path / "spill", shard_index))
-        merged = SweepRunner(jobs=1, cache_dir=cache)
-        results = merged.run(specs)
-        assert merged.cache_hits == 4
-        assert results == SweepRunner(jobs=1).run(specs)
-
-    def test_load_shard_validates_index(self, tmp_path):
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        with pytest.raises(ValueError, match="shard_index"):
-            load_shard(tmp_path, 2)
-
-    def test_write_shards_rejects_bad_count(self, tmp_path):
-        with pytest.raises(ValueError, match="shard_count"):
-            write_shards(_rtt_specs(), tmp_path, shard_count=0)
-
-    def test_manifest_is_schema_stamped(self, tmp_path):
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        assert load_manifest(tmp_path)["schema"] == MANIFEST_SCHEMA
-
-    def test_load_all_specs_restores_result_order(self, tmp_path):
-        specs = _rtt_specs()
-        for count in (1, 2, 3, 4):
-            spill = tmp_path / f"spill-{count}"
-            write_shards(specs, spill, shard_count=count)
-            assert load_all_specs(spill) == specs
-
-    def test_missing_manifest_names_the_path(self, tmp_path):
-        with pytest.raises(FileNotFoundError,
-                           match="no spec-spill manifest"):
-            load_manifest(tmp_path / "nowhere")
-
-    def test_truncated_manifest_fails_loudly(self, tmp_path):
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        path = tmp_path / "manifest.json"
-        path.write_text(path.read_text()[:25])
-        with pytest.raises(ValueError, match="unreadable spec-spill"):
-            load_manifest(tmp_path)
-        with pytest.raises(ValueError, match="manifest.json"):
-            load_shard(tmp_path, 0)   # load_shard surfaces it too
-
-    def test_schema_mismatch_fails_loudly(self, tmp_path):
-        import json as json_mod
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        path = tmp_path / "manifest.json"
-        manifest = json_mod.loads(path.read_text())
-        manifest["schema"] = MANIFEST_SCHEMA + 1
-        path.write_text(json_mod.dumps(manifest))
-        with pytest.raises(ValueError, match="schema version"):
-            load_manifest(tmp_path)
-
-    def test_unstamped_legacy_manifest_rejected(self, tmp_path):
-        import json as json_mod
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        path = tmp_path / "manifest.json"
-        manifest = json_mod.loads(path.read_text())
-        del manifest["schema"]    # a spill from before the stamp
-        path.write_text(json_mod.dumps(manifest))
-        with pytest.raises(ValueError, match="schema version 1"):
-            load_manifest(tmp_path)
-
-    def test_missing_manifest_key_names_it(self, tmp_path):
-        import json as json_mod
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        path = tmp_path / "manifest.json"
-        manifest = json_mod.loads(path.read_text())
-        del manifest["spec_hashes"]
-        path.write_text(json_mod.dumps(manifest))
-        with pytest.raises(ValueError, match="spec_hashes"):
-            load_manifest(tmp_path)
-
-    def test_inconsistent_manifest_counts_rejected(self, tmp_path):
-        import json as json_mod
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        path = tmp_path / "manifest.json"
-        manifest = json_mod.loads(path.read_text())
-        manifest["total"] = 99
-        path.write_text(json_mod.dumps(manifest))
-        with pytest.raises(ValueError, match="inconsistent"):
-            load_manifest(tmp_path)
-
-    def test_torn_shard_file_fails_loudly(self, tmp_path):
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        shard = tmp_path / "shard-0001.pkl"
-        shard.write_bytes(shard.read_bytes()[:7])
-        with pytest.raises(ValueError, match="unreadable shard file"):
-            load_shard(tmp_path, 1)
-
-    def test_missing_shard_file_fails_loudly(self, tmp_path):
-        write_shards(_rtt_specs(), tmp_path, shard_count=2)
-        (tmp_path / "shard-0001.pkl").unlink()
-        with pytest.raises(FileNotFoundError, match="missing shard file"):
-            load_shard(tmp_path, 1)
-
-    def test_shard_hash_mismatch_rejected(self, tmp_path):
-        import pickle as pickle_mod
-        specs = _rtt_specs()
-        write_shards(specs, tmp_path, shard_count=2)
-        # Overwrite shard 0 with different specs: same count, wrong
-        # content — the loader must notice via the manifest hashes.
-        imposter = [RunSpec.make(rtt_sweep_point, algorithm="lia",
-                                 base_rtt=0.1, ratio=r, n_tcp=2)
-                    for r in (0.5, 2.0)]
-        (tmp_path / "shard-0000.pkl").write_bytes(
-            pickle_mod.dumps(imposter))
-        with pytest.raises(ValueError, match="does not match its manifest"):
-            load_shard(tmp_path, 0)
+            SweepRunner(serve=("127.0.0.1", 8653))
 
 
 class TestMeasureValidation:

@@ -1,8 +1,6 @@
 """Tests for the shared filesystem atomics (repro.util.atomics)."""
 
-import os
 import pickle
-import time
 
 import pytest
 
@@ -10,10 +8,7 @@ from repro.util.atomics import (
     MISSING,
     atomic_pickle,
     atomic_write_bytes,
-    claim_age,
     load_pickle,
-    release_claim,
-    try_claim,
 )
 
 
@@ -80,50 +75,3 @@ class TestPickleRoundtrip:
         path = tmp_path / "value.pkl"
         assert not atomic_pickle(path, lambda: None)
         assert not path.exists()
-
-
-class TestClaims:
-    def test_first_claim_wins(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert try_claim(claim)
-        assert not try_claim(claim)
-
-    def test_release_allows_reclaim(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert try_claim(claim)
-        release_claim(claim)
-        assert try_claim(claim)
-
-    def test_release_is_idempotent(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        release_claim(claim)          # never claimed: not an error
-        assert try_claim(claim)
-        release_claim(claim)
-        release_claim(claim)
-
-    def test_claim_age(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert claim_age(claim) is None
-        assert try_claim(claim)
-        age = claim_age(claim)
-        assert age is not None and 0.0 <= age < 60.0
-
-    def test_fresh_claim_survives_ttl(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert try_claim(claim)
-        assert not try_claim(claim, ttl=3600.0)
-
-    def test_stale_claim_is_reaped_and_retaken(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert try_claim(claim)
-        # Age the claim artificially: a dead worker left it behind.
-        old = time.time() - 120.0
-        os.utime(claim, (old, old))
-        assert try_claim(claim, ttl=60.0)
-        # The reclaimed file is fresh again — a third taker must wait.
-        assert not try_claim(claim, ttl=60.0)
-
-    def test_custom_payload(self, tmp_path):
-        claim = tmp_path / "point.claim"
-        assert try_claim(claim, payload="owner=lockbox\n")
-        assert claim.read_text() == "owner=lockbox\n"
