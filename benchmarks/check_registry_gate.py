@@ -1,18 +1,15 @@
 #!/usr/bin/env python
-"""CI gate: the registry stays the single dispatch path on both axes.
+"""CI gate: packet schedulers are resolved through the registry only.
 
-The legacy per-layer factories — ``repro.fluid.dynamics.
-make_fluid_algorithm`` and ``repro.fluid.equilibrium.allocation_rule``
-— are deprecating wrappers kept only for backwards compatibility; every
-name→algorithm resolution must go through ``repro.core.registry``.
-The packet-scheduler axis has the same contract from day one: concrete
-policy classes (``MinRttScheduler`` and friends) are constructed only
-by the registry's :func:`~repro.core.registry.make_scheduler`; call
-sites name schedulers by string.  This script greps the package for
-*call sites* of either kind outside ``core/`` (and outside the modules
+Concrete policy classes (``MinRttScheduler`` and friends) are
+constructed only by the registry's
+:func:`~repro.core.registry.make_scheduler`; call sites name schedulers
+by string.  This script greps the package for constructions and
+imports of those classes outside ``core/`` (and outside the modules
 that define/re-export them) and exits non-zero when it finds any, with
 a ruff-style ``path:line:`` report.  It runs in the CI lint job next to
-``ruff check``.
+``ruff check``.  (The algorithm axis needs no such rule: the registry's
+``make_*`` functions are the only name→algorithm lookups that exist.)
 
 Usage::
 
@@ -28,38 +25,6 @@ import pathlib
 import re
 import sys
 from typing import List, Tuple
-
-#: Legacy factory names whose call sites are banned outside core/.
-#: Word-boundary anchored, so ``make_allocation_rule(`` (the registry
-#: API) does not match ``allocation_rule(``; the lookbehind spares
-#: calls explicitly qualified through the registry module
-#: (``registry.make_fluid_algorithm(...)``).
-BANNED_CALLS = re.compile(
-    r"(?<!registry\.)\b(make_fluid_algorithm|allocation_rule)\s*\(")
-
-#: Importing the wrappers from the fluid layer is banned too — an
-#: import is a call site in waiting.  Scanned over the whole file text
-#: (DOTALL for the parenthesized form) so multi-line imports and
-#: ``as``-aliases cannot slip through the line scan.
-BANNED_IMPORTS = re.compile(
-    r"from\s+\S*(?:\bdynamics\b|\bequilibrium\b|\bfluid\b)\S*\s+import\s*"
-    r"(?:\(([^)]*)\)|([^\n]+))", re.S)
-_BANNED_NAMES = re.compile(r"\b(make_fluid_algorithm|allocation_rule)\b")
-
-#: Names imported *from the registry* (possibly parenthesized over
-#: several lines) are the sanctioned dispatch path: bare calls to them
-#: are fine.  ``make_fluid_algorithm`` is both a registry function and
-#: a legacy wrapper name, so provenance decides.
-REGISTRY_IMPORTS = re.compile(
-    r"from\s+\S*core(?:\.registry)?\s+import\s+"
-    r"(?:\(([^)]*)\)|([^\n]+))")
-
-#: Modules allowed to mention the legacy names: everything under
-#: ``core/`` (the registry itself), the two wrapper definition modules,
-#: and the fluid package __init__ that re-exports them for backwards
-#: compatibility.
-ALLOWED = ("core/", "fluid/dynamics.py", "fluid/equilibrium.py",
-           "fluid/__init__.py")
 
 #: Concrete packet-scheduler policy classes: constructing (or
 #: importing) one outside core/ bypasses ``make_scheduler`` and with it
@@ -82,38 +47,26 @@ SCHEDULER_ALLOWED = ("core/", "sim/packet_scheduler.py",
                      "sim/__init__.py")
 
 
-def _registry_imported_names(text: str) -> set:
-    names = set()
-    for group_a, group_b in REGISTRY_IMPORTS.findall(text):
-        for token in (group_a or group_b).split(","):
-            token = token.strip()
-            if token:
-                names.add(token.split(" as ")[-1].strip())
-    return names
-
-
-def _scan_rule(path, text, *, calls, imports, names, sanctioned):
-    """Violations of one banned-name rule in one file's text."""
+def _scan_file(path, text):
+    """Scheduler-dispatch violations in one file's text."""
     violations = []
     flagged_lines = set()
     # Text-level import scan: parenthesized imports span lines.
-    for match in imports.finditer(text):
+    for match in SCHEDULER_BANNED_IMPORTS.finditer(text):
         imported = match.group(1) or match.group(2)
-        if names.search(imported):
+        if _SCHEDULER_NAMES.search(imported):
             flagged_lines.add(text.count("\n", 0, match.start()) + 1)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if stripped.startswith("#"):
             continue
-        banned = [match for match in calls.finditer(line)
-                  if match.group(1) not in sanctioned]
-        if banned or lineno in flagged_lines:
+        if SCHEDULER_BANNED_CALLS.search(line) or lineno in flagged_lines:
             violations.append((path, lineno, stripped))
             flagged_lines.discard(lineno)
     for lineno in sorted(flagged_lines):   # import on a comment line
         violations.append((path, lineno,
                            text.splitlines()[lineno - 1].lstrip()))
-    return violations
+    return sorted(violations, key=lambda hit: hit[1])
 
 
 def scan(src: pathlib.Path) -> List[Tuple[pathlib.Path, int, str]]:
@@ -121,28 +74,10 @@ def scan(src: pathlib.Path) -> List[Tuple[pathlib.Path, int, str]]:
     violations = []
     for path in sorted(src.rglob("*.py")):
         relative = path.relative_to(src).as_posix()
-        text = None
-        file_hits = []
-        for allowed, kwargs in (
-                (ALLOWED, dict(calls=BANNED_CALLS,
-                               imports=BANNED_IMPORTS,
-                               names=_BANNED_NAMES)),
-                (SCHEDULER_ALLOWED, dict(calls=SCHEDULER_BANNED_CALLS,
-                                         imports=SCHEDULER_BANNED_IMPORTS,
-                                         names=_SCHEDULER_NAMES))):
-            if any(relative == entry or relative.startswith(entry)
-                   for entry in allowed):
-                continue
-            if text is None:
-                text = path.read_text()
-            # Registry imports sanction bare calls for both rules: the
-            # scheduler rule never matches them (the registry exports
-            # make_scheduler, not the concrete classes), so sharing the
-            # set is harmless there.
-            file_hits.extend(_scan_rule(
-                path, text, sanctioned=_registry_imported_names(text),
-                **kwargs))
-        violations.extend(sorted(file_hits, key=lambda hit: hit[1]))
+        if any(relative == entry or relative.startswith(entry)
+               for entry in SCHEDULER_ALLOWED):
+            continue
+        violations.extend(_scan_file(path, path.read_text()))
     return violations
 
 
@@ -158,16 +93,16 @@ def main(argv=None) -> int:
         return 2
     violations = scan(src)
     for path, lineno, text in violations:
-        print(f"{path}:{lineno}: algorithm/scheduler dispatch outside "
-              f"core/ — resolve through repro.core.registry instead: "
-              f"{text}", file=sys.stderr)
+        print(f"{path}:{lineno}: scheduler dispatch outside core/ — "
+              f"resolve through repro.core.registry.make_scheduler "
+              f"instead: {text}", file=sys.stderr)
     if violations:
         print(f"FAIL registry gate: {len(violations)} out-of-registry "
-              "dispatch site(s); repro.core.registry is the single "
-              "dispatch path for both axes", file=sys.stderr)
+              "scheduler dispatch site(s); make_scheduler is the single "
+              "dispatch path", file=sys.stderr)
         return 1
-    print(f"registry gate OK: no out-of-registry algorithm or "
-          f"scheduler dispatch outside core/ in {src}")
+    print(f"registry gate OK: no out-of-registry scheduler dispatch "
+          f"outside core/ in {src}")
     return 0
 
 

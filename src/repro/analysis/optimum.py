@@ -36,9 +36,6 @@ class OptimumResult:
     success: bool
     message: str
 
-    def total(self) -> float:
-        return float(np.sum(self.rates))
-
 
 def proportional_fair(network: FluidNetwork, *,
                       floor_packets: float = 1.0,

@@ -54,10 +54,6 @@ class ScenarioAResult:
         """Normalized type2 throughput ``y/C2``."""
         return self.y / self.c2
 
-    def shared_ap_load(self) -> float:
-        """Aggregate load offered to the shared AP (pkt/s)."""
-        return self.n1 * self.x2 + self.n2 * self.y
-
 
 def lia_fixed_point(n1: int, n2: int, c1: float, c2: float,
                     rtt: float) -> ScenarioAResult:

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
 import platform
 import time
 from typing import Dict, List
@@ -70,11 +69,7 @@ from .fluid import (
     solve_fixed_point_batch,
 )
 from .sim.engine import COMPILED_AVAILABLE, Simulator
-
-
-def smoke_mode() -> bool:
-    """True when ``REPRO_BENCH_SMOKE=1`` caps the benchmark sizes."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from .util import smoke_mode
 
 
 # -- fluid sweep -----------------------------------------------------------------

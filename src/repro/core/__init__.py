@@ -41,12 +41,9 @@ from .registry import (
     make_scheduler,
     make_smt_model,
     register_algorithm,
-    register_scheduler,
     registered,
-    registered_scheduler,
     scheduler_specs,
     unregister_algorithm,
-    unregister_scheduler,
 )
 from .reno import RenoController, UncoupledController
 from .rtt import RttEstimator
@@ -82,7 +79,4 @@ __all__ = [
     "get_scheduler_spec",
     "make_scheduler",
     "available_schedulers",
-    "register_scheduler",
-    "registered_scheduler",
-    "unregister_scheduler",
 ]

@@ -39,29 +39,29 @@ resolution in the repo goes through this module:
 * ``make_scheduler(name, **params)`` — the scheduler axis (a
   :class:`~repro.sim.packet_scheduler.PacketScheduler` policy).
 
-The legacy per-layer factories (``repro.fluid.dynamics.
-make_fluid_algorithm``, ``repro.fluid.equilibrium.allocation_rule``)
-are thin deprecating wrappers over these; a CI gate
-(``benchmarks/check_registry_gate.py``) keeps them from growing new
-call sites outside ``core/`` and holds scheduler dispatch to the same
-rule.
+There is no other path: the fluid and equilibrium modules define
+the algorithms but no name lookup, and a CI gate
+(``benchmarks/check_registry_gate.py``) keeps the concrete packet
+scheduler classes from being constructed outside ``core/``.
 
 Adding an algorithm is a one-file change: write the controller /
 derivative / allocation next to each other, bundle them in an
 ``AlgorithmSpec``, and register it — see :mod:`repro.core.balia` for
 the worked example (BALIA, registered once, runnable in all three
 layers, every sweep, the scenario generator and the scale harness).
-Adding a scheduler is smaller still: subclass
-:class:`~repro.sim.packet_scheduler.PacketScheduler`, bundle it in a
-:class:`SchedulerSpec`, and :func:`register_scheduler` it.
+The scheduler axis holds the four builtin policies of
+:mod:`repro.sim.packet_scheduler`; a custom policy needs no
+registration — pass a :class:`SchedulerSpec` to
+:func:`make_scheduler`, or a policy instance to
+:class:`~repro.sim.mptcp.MptcpConnection`.
 
 Builtin specs on both axes are bound lazily on first lookup: the
-registry lives in ``core`` but binds factories defined in the fluid
-and sim layers, whose legacy wrappers call back into this module —
-deferring the binding breaks that cycle and makes registration
-independent of which package is imported first.  (``import
-repro.core`` itself still reaches the fluid layer, through the
-:mod:`~repro.core.balia` re-export.)
+registry lives in ``core`` but binds factories defined in the fluid,
+verify and sim layers.  Deferring the binding keeps ``repro.sim`` off
+the import path of a process that only resolves algorithms — the
+allocation-query server resolves fluid and equilibrium names and never
+loads the simulator.  (``import repro.core`` itself still reaches the
+fluid layer, through the :mod:`~repro.core.balia` re-export.)
 """
 
 from __future__ import annotations
@@ -391,9 +391,8 @@ class _Axis:
 
 
 def _builtin_scheduler_specs() -> List[SchedulerSpec]:
-    # Lazy for the same reason as _builtin_specs: the registry lives in
-    # ``core`` but the policies live in the sim layer, which imports
-    # this module for controller resolution.
+    # Lazy: the policies live in the sim layer, which imports this
+    # module for controller resolution.
     from ..sim import packet_scheduler as _ps
 
     return [
@@ -423,16 +422,9 @@ _ALGORITHMS = _Axis("algorithm", lambda: _builtin_specs())
 _SCHEDULERS = _Axis("scheduler", _builtin_scheduler_specs)
 
 
-def _ensure_builtins() -> None:
-    """Bind the builtin algorithm specs on first use."""
-    _ALGORITHMS.ensure_builtins()
-
-
 def _builtin_specs() -> List[AlgorithmSpec]:
-    # Imported here, not at module top: the registry lives in ``core``
-    # but binds factories from the fluid layer, and the fluid wrappers
-    # call back into this module — a top-level import would be a
-    # genuine cycle and make registration depend on import order.
+    # Imported here, not at module top, so that resolving an algorithm
+    # loads the layers it binds and nothing of the simulator.
     from ..fluid import dynamics as _dyn
     from ..fluid import equilibrium as _eq
     from ..verify.models import LiaModel, OliaModel, TcpModel
@@ -526,26 +518,17 @@ def _builtin_specs() -> List[AlgorithmSpec]:
     ]
 
 
-def register_algorithm(spec, factory=None, *,
+def register_algorithm(spec: AlgorithmSpec, *,
                        override: bool = False) -> List[AlgorithmSpec]:
-    """Register an :class:`AlgorithmSpec` (or a bare controller factory).
+    """Register an :class:`AlgorithmSpec`.
 
-    The legacy two-argument form ``register_algorithm(name, factory)``
-    wraps ``factory`` into a packet-only spec.  Without ``override`` a
-    name collision (canonical or alias) raises ``ValueError``; with
-    ``override=True`` the colliding spec(s) are unregistered first and
-    returned, so callers (and :func:`registered`) can restore them.
+    Without ``override`` a name collision (canonical or alias) raises
+    ``ValueError``; with ``override=True`` the colliding spec(s) are
+    unregistered first and returned, so callers (and
+    :func:`registered`) can restore them.
     """
     if not isinstance(spec, AlgorithmSpec):
-        if factory is None:
-            raise TypeError(
-                "register_algorithm takes an AlgorithmSpec, or the "
-                "legacy (name, controller_factory) pair")
-        spec = AlgorithmSpec(name=str(spec).lower(),
-                             controller_factory=factory,
-                             description="user-registered controller")
-    elif factory is not None:
-        raise TypeError("cannot pass a factory alongside an AlgorithmSpec")
+        raise TypeError("register_algorithm takes an AlgorithmSpec")
     return _ALGORITHMS.register(spec, override=override)
 
 
@@ -656,36 +639,6 @@ def make_smt_model(name, **params):
 
 
 # -- the scheduler axis ----------------------------------------------------------
-
-def register_scheduler(spec: SchedulerSpec, *,
-                       override: bool = False) -> List[SchedulerSpec]:
-    """Register a :class:`SchedulerSpec` on the scheduler axis.
-
-    Without ``override`` a name collision (canonical or alias) raises
-    ``ValueError``; with ``override=True`` the colliding spec(s) are
-    unregistered first and returned so callers (and
-    :func:`registered_scheduler`) can restore them.
-    """
-    if not isinstance(spec, SchedulerSpec):
-        raise TypeError("register_scheduler takes a SchedulerSpec")
-    return _SCHEDULERS.register(spec, override=override)
-
-
-def unregister_scheduler(name: str) -> SchedulerSpec:
-    """Remove a registered scheduler (by any of its names), return it."""
-    return _SCHEDULERS.unregister(name)
-
-
-@contextmanager
-def registered_scheduler(spec: SchedulerSpec, *, override: bool = False):
-    """Context manager: register a scheduler, unregister it on exit.
-
-    The scheduler-axis twin of :func:`registered`, with the same
-    displaced-spec restoration semantics.
-    """
-    with _SCHEDULERS.registered(spec, override=override):
-        yield spec
-
 
 def get_scheduler_spec(name: str) -> SchedulerSpec:
     """The :class:`SchedulerSpec` for ``name`` (case-insensitive)."""

@@ -51,6 +51,7 @@ from ..experiments.runner import RunSpec
 from ..experiments.scale import run_family_point
 from ..experiments.sweep import SweepRunner
 from ..serve.store import MISSING, ResultStore
+from ..util import smoke_mode
 from .coordinator import CoordinatorThread, SweepCoordinator
 
 __all__ = [
@@ -227,7 +228,7 @@ def run_dist_bench(*, smoke: Optional[bool] = None,
                    log: Callable[[str], None] = print) -> Dict[str, Any]:
     """Run the full bench (see module docstring); return the report."""
     if smoke is None:
-        smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+        smoke = smoke_mode()
     if smoke:
         grid = dict(families=SMOKE_FAMILIES, schedulers=SMOKE_SCHEDULERS,
                     algorithms=SMOKE_ALGORITHMS,

@@ -80,10 +80,26 @@ def decode_payload(text: str) -> Any:
 
 
 def parse_hostport(text: str, default_port: int = 8653) -> "tuple[str, int]":
-    """Parse ``HOST:PORT`` (or bare ``HOST``) into a (host, port) pair."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        return text, default_port
+    """Parse ``HOST:PORT`` (or bare ``HOST``) into a (host, port) pair.
+
+    An IPv6 host goes in brackets, ``[::1]:8653`` or ``[::1]``; the
+    brackets are stripped.  An unbracketed host containing ``:`` is
+    ambiguous and raises ``ValueError``.
+    """
+    if text.startswith("["):
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise ValueError(f"expected [HOST]:PORT, got {text!r}")
+        if not rest:
+            return host, default_port
+        port_text = rest[1:]
+    else:
+        host, sep, port_text = text.rpartition(":")
+        if not sep:
+            return text, default_port
+        if ":" in host:
+            raise ValueError(
+                f"an IPv6 host needs brackets ([HOST]:PORT), got {text!r}")
     try:
         port = int(port_text)
     except ValueError:

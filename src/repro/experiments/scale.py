@@ -39,7 +39,6 @@ from dataclasses import asdict, dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from ..benchreport import smoke_mode
 from ..core.registry import get_scheduler_spec, get_spec
 from ..sim.engine import Simulator
 from ..sim.monitors import FlowMeter
@@ -50,6 +49,7 @@ from ..topology.generator import (
     generate_preset,
     preset_config,
 )
+from ..util import smoke_mode
 from .results import ResultTable
 from .runner import RunSpec
 from .sweep import SweepRunner

@@ -160,22 +160,3 @@ class EwtcpFluid(FluidAlgorithm):
         n_paths = x.shape[-1]
         weight = 1.0 / (n_paths * n_paths)
         return weight / (rtt * rtt) - p * x * x / 2.0
-
-
-def make_fluid_algorithm(name: str, **params) -> FluidAlgorithm:
-    """Instantiate a fluid algorithm by name (``tcp``, ``lia``, ``olia``...).
-
-    .. deprecated::
-        Thin wrapper over the cross-layer registry — use
-        :func:`repro.core.registry.make_fluid_algorithm`, which resolves
-        the same names (and is the only dispatch path; a CI gate keeps
-        new call sites off this wrapper).
-    """
-    import warnings
-
-    from ..core import registry
-    warnings.warn(
-        "repro.fluid.dynamics.make_fluid_algorithm is deprecated; use "
-        "repro.core.registry.make_fluid_algorithm",
-        DeprecationWarning, stacklevel=2)
-    return registry.make_fluid_algorithm(name, **params)

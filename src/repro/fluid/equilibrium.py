@@ -310,31 +310,6 @@ def ewtcp_allocation(p, rtt) -> np.ndarray:
 AllocationRule = Callable[[Sequence[float], Sequence[float]], np.ndarray]
 
 
-def allocation_rule(name: str, **kwargs) -> AllocationRule:
-    """Look up an allocation rule by algorithm name.
-
-    .. deprecated::
-        Thin wrapper over the cross-layer registry — use
-        :func:`repro.core.registry.make_allocation_rule`, which resolves
-        the same names (and is the only dispatch path; a CI gate keeps
-        new call sites off this wrapper).
-
-    Returns
-    -------
-    AllocationRule
-        A callable ``rule(p, rtt) -> rates`` operating along the last
-        axis of its arguments.
-    """
-    import warnings
-
-    from ..core import registry
-    warnings.warn(
-        "repro.fluid.equilibrium.allocation_rule is deprecated; use "
-        "repro.core.registry.make_allocation_rule",
-        DeprecationWarning, stacklevel=2)
-    return registry.make_allocation_rule(name, **kwargs)
-
-
 @dataclass
 class FixedPointResult:
     """Outcome of the equilibrium solve (one sweep point).

@@ -51,10 +51,6 @@ class FluidTrajectory:
         np.add.at(totals, (slice(None), users), self.rates)
         return totals
 
-    def route_series(self, route: int) -> np.ndarray:
-        """Rate of one route over time."""
-        return self.rates[:, route]
-
     def tail_average(self, fraction: float = 0.25) -> np.ndarray:
         """Time-average of the last ``fraction`` of the trajectory.
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import platform
 import random
 import tempfile
@@ -42,6 +41,7 @@ import numpy as np
 from ..core.registry import get_spec
 from ..topology.generator import GeneratorConfig
 from ..units import mbps_to_pps
+from ..util import smoke_mode
 from .service import (
     AllocationQuery,
     AllocationService,
@@ -65,11 +65,6 @@ _DEFAULT_MIX = (
 )
 
 
-def smoke_mode() -> bool:
-    """True when ``REPRO_BENCH_SMOKE=1`` caps the load-generator sizes."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-
 @dataclass(frozen=True)
 class LoadGenConfig:
     """Knobs of the load harness (see module docs for the phases)."""
@@ -84,7 +79,6 @@ class LoadGenConfig:
     batch_window: float = 0.002
     max_batch: int = 128
     baseline_samples: int = 64
-    max_store_entries: int = 1 << 17
     generator: GeneratorConfig = field(
         default_factory=lambda: GeneratorConfig(
             n_flows=64, n_links=8, algorithm_mix=_DEFAULT_MIX))
@@ -210,7 +204,7 @@ def _phase_stats(latencies: np.ndarray, wall: float) -> Dict[str, float]:
     }
 
 
-async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
+async def _run(config: LoadGenConfig, store_dir: str, smoke: bool) -> Dict:
     names, weights = _equilibrium_mix(config.generator.algorithm_mix)
     memory_entries = config.cold_pool + config.hot_set + 64
 
@@ -235,8 +229,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
 
     # Cold latency phase: unique queries, cold store — every query
     # solves, so qps/baseline isolates the batching win.
-    cold_store = ResultStore(store_dir, max_entries=config.max_store_entries,
-                             memory_entries=memory_entries)
+    cold_store = ResultStore(store_dir, memory_entries=memory_entries)
     service = AllocationService(cold_store, batch_window=config.batch_window,
                                 max_batch=config.max_batch)
     latencies, wall = await _replay(service, latency_query,
@@ -250,8 +243,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
 
     # Warm replay: the same stream through a *fresh* store object on the
     # same directory — hits come off disk, proving persistence.
-    warm_store = ResultStore(store_dir, max_entries=config.max_store_entries,
-                             memory_entries=memory_entries)
+    warm_store = ResultStore(store_dir, memory_entries=memory_entries)
     service = AllocationService(warm_store, batch_window=config.batch_window,
                                 max_batch=config.max_batch)
     latencies, wall = await _replay(service, latency_query,
@@ -272,9 +264,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
             return hot[rng.randrange(len(hot))]
         return pool[rng.randrange(len(pool))]
 
-    replay_store = ResultStore(store_dir,
-                               max_entries=config.max_store_entries,
-                               memory_entries=memory_entries)
+    replay_store = ResultStore(store_dir, memory_entries=memory_entries)
     service = AllocationService(replay_store,
                                 batch_window=config.batch_window,
                                 max_batch=config.max_batch)
@@ -297,7 +287,7 @@ async def _run(config: LoadGenConfig, store_dir: str) -> Dict:
 
     return {
         "benchmark": "serve",
-        "smoke": smoke_mode(),
+        "smoke": smoke,
         "python": platform.python_version(),
         "config": {
             "queries": config.queries,
@@ -331,12 +321,14 @@ def run_loadgen(config: Optional[LoadGenConfig] = None, *,
     defaults to the ``REPRO_BENCH_SMOKE`` environment toggle.
     """
     config = config or LoadGenConfig()
-    if smoke if smoke is not None else smoke_mode():
+    if smoke is None:
+        smoke = smoke_mode()
+    if smoke:
         config = config.smoke()
     if store_dir is not None:
-        return asyncio.run(_run(config, store_dir))
+        return asyncio.run(_run(config, store_dir, smoke))
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        return asyncio.run(_run(config, tmp))
+        return asyncio.run(_run(config, tmp, smoke))
 
 
 def format_report(report: Dict) -> str:

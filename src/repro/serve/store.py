@@ -16,12 +16,13 @@ On top of the disk layer:
   the disk does — a third of the live object's footprint for a service
   response — so a hit is one ``pickle.loads`` and never aliases the
   object an earlier caller got;
-* an optional **disk size bound** (``max_entries``) evicts the
-  oldest-mtime entries once the directory outgrows it;
 * **corrupt/truncated entries** read as misses, are deleted so the next
   writer lands a clean entry, and are counted;
 * :class:`StoreStats` tracks hits (memory vs disk), misses, writes,
-  evictions, corrupt entries, and the age of disk hits.
+  corrupt entries, and the age of disk hits.
+
+The disk layer is unbounded: a sweep cache is a resume journal, and a
+serve store holds one small entry per distinct query.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 import os
 import pickle
 import time
@@ -52,7 +53,6 @@ class StoreStats:
     memory_hits: int = 0
     misses: int = 0
     writes: int = 0
-    evictions: int = 0
     corrupt: int = 0
     hit_age_seconds: float = 0.0
 
@@ -76,7 +76,6 @@ class StoreStats:
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "writes": self.writes,
-            "evictions": self.evictions,
             "corrupt": self.corrupt,
             "hit_rate": self.hit_rate,
             "mean_hit_age_seconds": self.mean_hit_age_seconds,
@@ -90,31 +89,20 @@ class ResultStore:
     ----------
     directory : path-like
         Flat directory of ``<key>.pkl`` entries; created on first write.
-    max_entries : int, optional
-        Disk size bound.  ``None`` (the default) never evicts — the
-        right choice for sweep caches, which are resume journals.  When
-        set, a put that pushes the directory past the bound evicts the
-        oldest-mtime entries back down to it (approximate under
-        concurrent writers, re-synced by a directory scan each sweep).
     memory_entries : int
         In-memory LRU capacity in front of the disk layer; ``0``
         disables it (every hit is a disk read).
     """
 
     def __init__(self, directory: "str | os.PathLike", *,
-                 max_entries: Optional[int] = None,
                  memory_entries: int = 4096) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 or None")
         if memory_entries < 0:
             raise ValueError("memory_entries must be >= 0")
         self.directory = Path(directory)
         self._prefix = os.path.join(os.fspath(directory), "")
-        self.max_entries = max_entries
         self.memory_entries = memory_entries
         self.stats = StoreStats()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
-        self._disk_count: Optional[int] = None
 
     # -- paths ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -174,18 +162,11 @@ class ResultStore:
         except PICKLE_ERRORS:
             return False
         self._remember(key, data)
-        path = f"{self._prefix}{key}.pkl"
-        counting = self.max_entries is not None
-        was_new = counting and not os.path.exists(path)
         try:
-            atomic_write_bytes(path, data)
+            atomic_write_bytes(f"{self._prefix}{key}.pkl", data)
         except OSError:
             return False
         self.stats.writes += 1
-        if counting:
-            if self._disk_count is not None and was_new:
-                self._disk_count += 1
-            self._maybe_evict()
         return True
 
     # -- internals --------------------------------------------------------------
@@ -196,33 +177,3 @@ class ResultStore:
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
-
-    def _maybe_evict(self) -> None:
-        """Keep the disk entry count within ``max_entries``.
-
-        The cached count drifts under concurrent writers; every sweep
-        re-syncs it from a real directory scan, so the bound holds up to
-        one put's worth of slack per process.
-        """
-        if self._disk_count is None:
-            self._disk_count = sum(
-                1 for _ in self.directory.glob("*.pkl"))
-        if self._disk_count <= self.max_entries:
-            return
-        entries = []
-        for path in self.directory.glob("*.pkl"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        self._disk_count = len(entries)
-        if self._disk_count <= self.max_entries:
-            return
-        entries.sort()
-        for _, path in entries[:self._disk_count - self.max_entries]:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            self.stats.evictions += 1
-            self._disk_count -= 1

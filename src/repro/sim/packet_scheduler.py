@@ -39,7 +39,7 @@ room.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..units import MSS_BYTES
 
@@ -174,9 +174,3 @@ class QueueAwareScheduler(PacketScheduler):
             drain = len(head.queue) * MSS_BYTES * 8.0 / head.rate_bps
             return (sf.srtt + drain, sf.key)
         return min(ready, key=score)
-
-
-def builtin_schedulers() -> List[type]:
-    """The builtin policy classes, in registry order."""
-    return [MinRttScheduler, RoundRobinScheduler, RedundantScheduler,
-            QueueAwareScheduler]

@@ -136,13 +136,6 @@ class FatTree:
                     self.host_down[dst])
         return (self.host_up[src], self.host_down[dst])
 
-    def reverse_delay(self, src: int, dst: int) -> float:
-        """Propagation delay of the (uncongested) reverse ACK path.
-
-        Reverse paths traverse the same number of hops as forward paths.
-        """
-        return len(self.path(src, dst)) * self.link_delay
-
     def path_spec(self, src: int, dst: int, choice: int = 0) -> PathSpec:
         """Forward path plus matching reverse delay as a PathSpec."""
         forward = self.path(src, dst, choice)

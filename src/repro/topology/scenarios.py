@@ -29,7 +29,6 @@ from ..sim.engine import Simulator
 from ..sim.link import Link
 from ..sim.mptcp import PathSpec
 from ..sim.queues import DropTailQueue, REDQueue
-from ..units import mbps_to_pps
 
 
 def _make_queue(rng: random.Random, capacity_mbps: float,
@@ -178,8 +177,3 @@ def build_two_path(sim: Simulator, rng: random.Random, *,
     tcp = [PathSpec((links[0],), reverse), PathSpec((links[1],), reverse)]
     return TwoPathTopology(sim=sim, bottlenecks=links, mptcp_paths=mptcp,
                            tcp_paths=tcp)
-
-
-def scenario_a_pps(c_mbps: float) -> float:
-    """Convenience: per-user capacity in packets/s for analysis calls."""
-    return mbps_to_pps(c_mbps)

@@ -1,15 +1,20 @@
 """Shared low-level utilities (filesystem atomics, small helpers)."""
 
-from .atomics import (
-    MISSING,
-    atomic_pickle,
-    atomic_write_bytes,
-    load_pickle,
-)
+import os
+
+from .atomics import MISSING, atomic_write_bytes
 
 __all__ = [
     "MISSING",
-    "atomic_pickle",
     "atomic_write_bytes",
-    "load_pickle",
+    "smoke_mode",
 ]
+
+
+def smoke_mode() -> bool:
+    """True when ``REPRO_BENCH_SMOKE`` is set to anything but ``""``/``0``.
+
+    The one parser of the toggle that caps every benchmark harness
+    (bench, scale, serve load generator, dist bench) to CI-smoke sizes.
+    """
+    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")

@@ -2,10 +2,10 @@
 
 Exactly one tested implementation of the idiom every concurrent on-disk
 store in this repo relies on: **tmpfile + rename**
-(:func:`atomic_write_bytes`, :func:`atomic_pickle`, :func:`load_pickle`)
-— a reader never observes a torn entry, because ``os.replace`` is atomic
-on POSIX filesystems and the temporary file lives in the destination
-directory (same filesystem, so the rename cannot degrade to a copy).
+(:func:`atomic_write_bytes`) — a reader never observes a torn entry,
+because ``os.replace`` is atomic on POSIX filesystems and the temporary
+file lives in the destination directory (same filesystem, so the rename
+cannot degrade to a copy).
 
 The result store behind sweep caches and the serving layer
 (``serve/store.py``) is built on it.
@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-from typing import Any
 
-#: Sentinel returned by :func:`load_pickle` when an entry is absent or
-#: unreadable.  Identity-checked (``value is MISSING``), so any stored
-#: value — including ``None`` and ``False`` — round-trips unambiguously.
+#: Sentinel a store returns when an entry is absent or unreadable.
+#: Identity-checked (``value is MISSING``), so any stored value —
+#: including ``None`` and ``False`` — round-trips unambiguously.
 MISSING = object()
 
 
@@ -77,33 +76,3 @@ def atomic_write_bytes(path: "str | os.PathLike", data: bytes) -> None:
 PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
 UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
                    ImportError, IndexError)
-
-
-def atomic_pickle(path: "str | os.PathLike", obj: Any) -> bool:
-    """Best-effort atomic pickle of ``obj`` to ``path``.
-
-    Returns ``True`` when the entry landed on disk.  Persistence is an
-    optimization, never a correctness requirement, so an unpicklable
-    object (or a full disk) returns ``False`` instead of failing the
-    computation that produced the value.
-    """
-    try:
-        atomic_write_bytes(path, pickle.dumps(obj))
-    except PICKLE_ERRORS + (OSError,):
-        return False
-    return True
-
-
-def load_pickle(path: "str | os.PathLike", default: Any = MISSING) -> Any:
-    """Read a pickled entry; ``default`` when absent, torn, or corrupt.
-
-    A truncated or garbage entry (crashed writer on a non-atomic
-    filesystem, bit rot) is indistinguishable from a miss on purpose:
-    callers recompute and overwrite, which is always safe because
-    entries are content-addressed.
-    """
-    try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except UNPICKLE_ERRORS + (OSError,):
-        return default

@@ -53,11 +53,12 @@ class TestRegistry:
         class Custom(RenoController):
             name = "custom-test"
 
-        register_algorithm("custom-test", Custom)
+        spec = AlgorithmSpec(name="custom-test", controller_factory=Custom)
+        register_algorithm(spec)
         try:
             assert isinstance(make_controller("custom-test"), Custom)
             with pytest.raises(ValueError):
-                register_algorithm("custom-test", Custom)
+                register_algorithm(spec)
         finally:
             unregister_algorithm("custom-test")
 
@@ -197,10 +198,9 @@ class TestRegisterErgonomics:
             AlgorithmSpec(name="x", aliases=("Y",))
 
 
-class TestLegacyFactoryParity:
-    """The three legacy factories expose identical name sets per
-    capability and fail with the same loud known-names KeyError style
-    (satellite: factory error-handling parity)."""
+class TestFactoryParity:
+    """The three registry factories expose identical name sets per
+    capability and fail with the same loud known-names KeyError style."""
 
     def _accepted_names(self, factory, **params):
         accepted = set()
@@ -218,38 +218,31 @@ class TestLegacyFactoryParity:
         return accepted
 
     def test_name_sets_match_capabilities(self):
-        from repro.fluid.dynamics import make_fluid_algorithm as legacy_fl
-        from repro.fluid.equilibrium import allocation_rule as legacy_eq
         assert self._accepted_names(make_controller) \
             == set(available_algorithms("packet"))
-        assert self._accepted_names(legacy_fl) \
+        assert self._accepted_names(make_fluid_algorithm) \
             == set(available_algorithms("fluid"))
-        assert self._accepted_names(legacy_eq) \
+        assert self._accepted_names(make_allocation_rule) \
             == set(available_algorithms("equilibrium"))
 
     def test_all_factories_case_insensitive_with_aliases(self):
-        from repro.fluid.dynamics import make_fluid_algorithm as legacy_fl
-        from repro.fluid.equilibrium import allocation_rule as legacy_eq
         for name in ("TCP", "Reno", "UNCOUPLED", "Lia"):
             make_controller(name)
-            legacy_fl(name)
-            legacy_eq(name)
+            make_fluid_algorithm(name)
+            make_allocation_rule(name)
 
     def test_all_factories_fail_with_known_names_keyerror(self):
-        from repro.fluid.dynamics import make_fluid_algorithm as legacy_fl
-        from repro.fluid.equilibrium import allocation_rule as legacy_eq
-        for factory in (make_controller, legacy_fl, legacy_eq):
+        for factory in (make_controller, make_fluid_algorithm,
+                        make_allocation_rule):
             with pytest.raises(KeyError, match="olia"):
                 factory("does-not-exist")
 
-    def test_legacy_wrappers_build_the_registry_objects(self):
+    def test_factories_build_the_layer_objects(self):
         from repro.fluid.dynamics import OliaFluid
-        from repro.fluid.dynamics import make_fluid_algorithm as legacy_fl
-        from repro.fluid.equilibrium import allocation_rule as legacy_eq
         from repro.fluid.equilibrium import lia_allocation, tcp_allocation
-        assert isinstance(legacy_fl("olia"), OliaFluid)
-        assert legacy_eq("lia") is lia_allocation
-        assert legacy_eq("tcp") is tcp_allocation
+        assert isinstance(make_fluid_algorithm("olia"), OliaFluid)
+        assert make_allocation_rule("lia") is lia_allocation
+        assert make_allocation_rule("tcp") is tcp_allocation
 
 
 class TestParamSpec:

@@ -81,12 +81,19 @@ class TestProtocol:
         assert parse_hostport("10.0.0.5:9000") == ("10.0.0.5", 9000)
         assert parse_hostport("somehost") == ("somehost", 8653)
         assert parse_hostport(":9000") == ("127.0.0.1", 9000)
+        assert parse_hostport("[::1]:8653") == ("::1", 8653)
+        assert parse_hostport("[::1]", 9000) == ("::1", 9000)
 
     def test_parse_hostport_rejects_garbage(self):
         with pytest.raises(ValueError, match="numeric port"):
             parse_hostport("host:abc")
         with pytest.raises(ValueError, match="port must be in"):
             parse_hostport("host:99999")
+        with pytest.raises(ValueError, match="needs brackets"):
+            parse_hostport("::1")
+        for text in ("[::1", "[::1]8653"):
+            with pytest.raises(ValueError, match=r"\[HOST\]:PORT"):
+                parse_hostport(text)
 
     def test_register_rejects_protocol_mismatch(self, tmp_path):
         thread = CoordinatorThread(_coordinator(_grid(2), tmp_path))

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.registry import make_fluid_algorithm
 from repro.fluid.dynamics import (
     CoupledFluid,
     EwtcpFluid,
     LiaFluid,
     OliaFluid,
     TcpFluid,
-    make_fluid_algorithm,
 )
 
 
@@ -144,10 +144,8 @@ class TestFactory:
         for name, cls in (("tcp", TcpFluid), ("lia", LiaFluid),
                           ("olia", OliaFluid), ("coupled", CoupledFluid),
                           ("ewtcp", EwtcpFluid)):
-            with pytest.deprecated_call():
-                algo = make_fluid_algorithm(name)
-            assert isinstance(algo, cls)
+            assert isinstance(make_fluid_algorithm(name), cls)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError), pytest.deprecated_call():
+        with pytest.raises(KeyError):
             make_fluid_algorithm("nope")

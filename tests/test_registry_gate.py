@@ -1,7 +1,10 @@
 """The registry-dispatch CI gate (benchmarks/check_registry_gate.py)."""
 
+import importlib
 import importlib.util
 import pathlib
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "check_registry_gate",
@@ -23,6 +26,16 @@ class TestGateOnRepo:
         assert "registry gate OK" in capsys.readouterr().out
         assert gate.main(["/no/such/dir"]) == 2
 
+    @pytest.mark.parametrize("module,name", [
+        ("repro.fluid.dynamics", "make_fluid_algorithm"),
+        ("repro.fluid.equilibrium", "allocation_rule"),
+        ("repro.fluid", "make_fluid_algorithm"),
+    ])
+    def test_no_algorithm_lookup_outside_the_registry(self, module, name):
+        """The gate has no algorithm rule because the per-layer name
+        lookups are gone: importing one is an ImportError."""
+        assert not hasattr(importlib.import_module(module), name)
+
 
 class TestGateDetection:
     def _scan_one(self, tmp_path, text):
@@ -31,81 +44,9 @@ class TestGateDetection:
         module.write_text(text)
         return gate.scan(tmp_path)
 
-    def test_wrapper_call_flagged(self, tmp_path):
-        hits = self._scan_one(
-            tmp_path, "rule = allocation_rule('olia')\n")
-        assert len(hits) == 1 and hits[0][1] == 1
-
-    def test_wrapper_import_flagged(self, tmp_path):
-        hits = self._scan_one(
-            tmp_path,
-            "from repro.fluid.dynamics import make_fluid_algorithm\n")
-        assert len(hits) == 1
-
-    def test_multiline_aliased_wrapper_import_flagged(self, tmp_path):
-        """Parenthesized multi-line imports (with an alias) must not
-        slip through the line-based scan."""
-        hits = self._scan_one(
-            tmp_path,
-            "from repro.fluid.equilibrium import (\n"
-            "    allocation_rule as _ar,\n"
-            ")\n"
-            "rule = _ar('olia')\n")
-        assert len(hits) == 1 and hits[0][1] == 1
-
-    def test_fluid_package_reexport_import_flagged(self, tmp_path):
-        hits = self._scan_one(
-            tmp_path,
-            "from ..fluid import make_fluid_algorithm\n")
-        assert len(hits) == 1
-
-    def test_benign_multiline_fluid_import_allowed(self, tmp_path):
-        assert self._scan_one(
-            tmp_path,
-            "from ..fluid import (\n"
-            "    FluidNetwork,\n"
-            "    integrate,\n"
-            ")\n") == []
-
-    def test_registry_import_sanctions_bare_calls(self, tmp_path):
-        assert self._scan_one(
-            tmp_path,
-            "from ..core.registry import make_fluid_algorithm\n"
-            "algo = make_fluid_algorithm('lia')\n") == []
-
-    def test_parenthesized_registry_import_sanctions(self, tmp_path):
-        assert self._scan_one(
-            tmp_path,
-            "from ..core.registry import (\n"
-            "    AlgorithmSpec,\n"
-            "    make_fluid_algorithm,\n"
-            ")\n"
-            "algo = make_fluid_algorithm('lia')\n") == []
-
-    def test_registry_qualified_call_allowed(self, tmp_path):
-        assert self._scan_one(
-            tmp_path,
-            "from ..core import registry\n"
-            "algo = registry.make_fluid_algorithm('lia')\n") == []
-
-    def test_registry_api_name_not_confused(self, tmp_path):
-        """make_allocation_rule( must not match allocation_rule(."""
-        assert self._scan_one(
-            tmp_path,
-            "from ..core.registry import make_allocation_rule\n"
-            "rule = make_allocation_rule('olia')\n") == []
-
-    def test_core_and_wrapper_modules_exempt(self, tmp_path):
-        for relative in ("core/registry.py", "fluid/dynamics.py",
-                         "fluid/equilibrium.py", "fluid/__init__.py"):
-            module = tmp_path / relative
-            module.parent.mkdir(exist_ok=True)
-            module.write_text("rule = allocation_rule('olia')\n")
-        assert gate.scan(tmp_path) == []
-
     def test_comments_ignored(self, tmp_path):
         assert self._scan_one(
-            tmp_path, "# old: allocation_rule('olia')\n") == []
+            tmp_path, "# old: RoundRobinScheduler()\n") == []
 
 
 class TestSchedulerAxisDetection:

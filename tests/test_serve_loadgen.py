@@ -99,6 +99,24 @@ class TestSmokeMode:
         assert smoke.hot_set <= full.hot_set
         assert smoke.cold_pool < full.cold_pool
 
+    @pytest.mark.parametrize("value,expected",
+                             [("", False), ("0", False), ("1", True)])
+    def test_one_parser_for_the_smoke_toggle(self, monkeypatch, value,
+                                             expected):
+        """Every harness reads REPRO_BENCH_SMOKE through the same
+        function, so ``0`` means full size everywhere."""
+        import repro.benchreport
+        import repro.dist.bench
+        import repro.experiments.scale
+        import repro.serve.loadgen
+        from repro.util import smoke_mode
+
+        monkeypatch.setenv("REPRO_BENCH_SMOKE", value)
+        assert smoke_mode() is expected
+        for module in (repro.benchreport, repro.dist.bench,
+                       repro.experiments.scale, repro.serve.loadgen):
+            assert module.smoke_mode is smoke_mode, module.__name__
+
 
 class TestRunLoadgen:
     def test_report_shape_and_invariants(self, tmp_path):
@@ -127,6 +145,14 @@ class TestRunLoadgen:
         out = tmp_path / "BENCH_serve.json"
         write_report(report, out)
         assert json.loads(out.read_text())["benchmark"] == "serve"
+
+    def test_report_says_the_mode_it_ran(self, monkeypatch):
+        """The ``smoke`` field is the mode the run used, not the
+        environment toggle (the bench gate picks its floors by it)."""
+        monkeypatch.delenv("REPRO_BENCH_SMOKE", raising=False)
+        assert run_loadgen(_tiny_config(), smoke=True)["smoke"] is True
+        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
+        assert run_loadgen(_tiny_config(), smoke=False)["smoke"] is False
 
     def test_reports_are_deterministic_in_structure(self):
         a = run_loadgen(_tiny_config())

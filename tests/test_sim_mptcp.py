@@ -14,6 +14,7 @@ from repro.sim import (
     WindowTracer,
     single_path_tcp,
 )
+from repro.sim.engine import COMPILED_AVAILABLE
 from repro.units import mbps_to_pps
 
 
@@ -161,3 +162,47 @@ class TestAsymmetricScenario:
         goodput = conn.acked_packets / 59.0
         assert goodput > 0
         assert goodput < 2 * mbps_to_pps(2.0)
+
+
+def _transfer_with_event(compiled, scheduler, event):
+    """600 packets over two 5 Mb/s paths, ``event(conn)`` at t = 0.5 s."""
+    sim = Simulator(compiled=compiled)
+    paths = [PathSpec((Link(sim, rate_bps=5e6, delay=0.02, name=f"p{i}"),),
+                      0.02)
+             for i in range(2)]
+    finished = []
+    conn = MptcpConnection(sim, "lia", paths, scheduler=scheduler,
+                           size_packets=600, on_complete=finished.append)
+    conn.start()
+    sim.schedule(0.5, event, conn)
+    sim.run(until=10.0)
+    return conn, finished
+
+
+class TestTeardownMidTransfer:
+    @pytest.mark.parametrize("compiled", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not COMPILED_AVAILABLE, reason="compiled engine not built"))])
+    @pytest.mark.parametrize("scheduler",
+                             ["minrtt", "roundrobin", "redundant", "qaware"])
+    def test_subflow_removal_and_stop(self, compiled, scheduler):
+        """Removing a subflow returns its unfulfilled grants to the
+        stream; stopping the connection cancels the transfer."""
+        def remove_first(conn):
+            conn.remove_subflow(conn.subflows[0])
+
+        conn, finished = _transfer_with_event(compiled, scheduler,
+                                              remove_first)
+        assert conn.complete and finished == [conn.transfer_time]
+        assert len(conn.subflows) == 1
+        if not conn.scheduler.duplicates:
+            assert conn.acked_packets == 600   # the reclaim is exact
+        reference, _ = _transfer_with_event(False, scheduler, remove_first)
+        assert conn.transfer_time == reference.transfer_time
+
+        conn, finished = _transfer_with_event(compiled, scheduler,
+                                              MptcpConnection.stop)
+        assert not conn.complete and conn.transfer_time is None
+        assert finished == [] and conn.subflows == []
+        assert 0 < conn.acked_packets < 600
